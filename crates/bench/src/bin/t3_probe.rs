@@ -15,12 +15,10 @@
 //! cost is visible. On a healthy run every column decays with the live
 //! subproblem — no column may flatline at a value scaling with n.
 //!
-//! Usage: `t3_probe [n] [--human] [--all-rounds] [--w32]`
+//! Usage: `t3_probe [n] [--human] [--all-rounds]`
 //!
-//! `--w32` runs the simulation on a narrow-cell
-//! ([`pram_sim::CellWidth::W32`]) machine; the emitted `arena` event
-//! (peak/live words, backing bytes) is how the memory-per-vertex budget
-//! for the 1e8 tier was measured.
+//! The emitted `arena` event (peak/live words, backing bytes) is how the
+//! memory-per-vertex budget for the 1e8 tier was measured.
 //!
 //! [`RoundMetrics::to_event`]: logdiam_cc::metrics::RoundMetrics::to_event
 //! [`RunReport::to_event`]: logdiam_cc::metrics::RunReport::to_event
@@ -28,22 +26,20 @@
 use cc_graph::gen;
 use logdiam_cc::theorem3::{faster_cc, FasterParams};
 use logdiam_obs::{Event, Registry};
-use pram_sim::{CellWidth, Pram, WritePolicy};
+use pram_sim::{Pram, WritePolicy};
 
 fn main() {
     let mut n: usize = 200_000;
     let mut human = false;
     let mut all_rounds = false;
-    let mut width = CellWidth::W64;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--human" => human = true,
             "--all-rounds" => all_rounds = true,
-            "--w32" => width = CellWidth::W32,
             other => match other.parse() {
                 Ok(v) => n = v,
                 Err(_) => {
-                    eprintln!("usage: t3_probe [n] [--human] [--all-rounds] [--w32]");
+                    eprintln!("usage: t3_probe [n] [--human] [--all-rounds]");
                     std::process::exit(2);
                 }
             },
@@ -52,7 +48,7 @@ fn main() {
 
     let g = gen::path(n);
     let t0 = std::time::Instant::now();
-    let mut pram = Pram::with_width(WritePolicy::ArbitrarySeeded(0xBEEF_CAFE), width);
+    let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(0xBEEF_CAFE));
     let r = faster_cc(&mut pram, &g, 0xBEEF_CAFE, &FasterParams::default());
     let wall = t0.elapsed();
 
@@ -90,10 +86,6 @@ fn main() {
     let stats = pram.stats();
     reg.event(
         Event::new("arena")
-            .with(
-                "cell_width",
-                if width == CellWidth::W32 { 32u64 } else { 64 },
-            )
             .with("peak_words", stats.peak_words)
             .with("live_words", stats.live_words)
             .with("backing_bytes", pram.arena_backing_bytes() as u64),

@@ -48,8 +48,7 @@ pub(super) fn run(cfg: &Config) -> Vec<Table> {
         "E7 — rounds vs diameter at fixed n (clique chains, n = 1024)",
         "Theorem 3 rounds should track log₂ d; the O(log n) baselines are \
          roughly flat in d (their cost is set by n). Columns report outer \
-         rounds/phases of each algorithm (each O(1) simulated steps except \
-         where noted in DESIGN.md).",
+         rounds/phases of each algorithm, each O(1) simulated steps.",
         &[
             "k",
             "d",

@@ -1,10 +1,10 @@
 //! # `logdiam-bench` — experiment harness
 //!
-//! One function per experiment in DESIGN.md §4 (E1–E12). Each returns
-//! [`table::Table`]s that the `experiments` binary prints as Markdown —
-//! these are the "tables and figures" of the reproduction, recorded in
-//! EXPERIMENTS.md. Criterion benches under `benches/` cover the wall-clock
-//! measurements (E8) and simulator throughput.
+//! One function per experiment (E1–E14), each checking a claim of the
+//! paper. Each returns [`table::Table`]s that the `experiments` binary
+//! prints as Markdown — these are the "tables and figures" of the
+//! reproduction. Wall-clock and simulator throughput are measured by the
+//! repository's benchmark, `perfbench/`.
 //!
 //! Sizes are chosen so `experiments all` finishes in minutes on a laptop;
 //! `--full` enlarges the sweeps.

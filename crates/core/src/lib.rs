@@ -36,8 +36,8 @@
 //! field of [`theorem1::Theorem1Params`] / [`theorem3::FasterParams`] with
 //! laptop-scale defaults; the mechanisms (collision ⇒ dormant ⇒ level-up,
 //! random level sampling, MAXLINK toward higher levels, budget
-//! double-exponentiation) are untouched. DESIGN.md §1.1 tabulates the
-//! substitutions; experiment E10 ablates them.
+//! double-exponentiation) are untouched. Each params field's docs give the
+//! paper's value beside the default; experiment E10 ablates them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,3 +53,12 @@ pub mod vanilla;
 pub mod verify;
 
 pub use state::CcState;
+
+/// Order-sensitive digest of a word sequence: the tests that pin a run's
+/// exact output compare one of these against a committed constant.
+#[cfg(test)]
+pub(crate) fn digest(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(words.len() as u64, |h, &w| pram_sim::splitmix64(h ^ w))
+}

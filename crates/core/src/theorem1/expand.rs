@@ -25,14 +25,11 @@
 //! inserts and collision checks one per *live* arc (`live.arcs`), and the
 //! squaring rounds one per occupied-block cell pair (`owned` — already
 //! live-sized). The per-vertex `fdr` and step-3 liveness flag arrays are
-//! still `n` cells so runtime vertex ids index them directly, but in the
-//! default configuration they are **generation-stamped**
-//! ([`ExpandScratch`], allocated once per driver run): the per-phase
-//! "re-fill with NULL" is a generation bump — O(1) host work, zero
-//! simulated time, and no O(n) memset per phase. The clear-based legacy
-//! path (`Theorem1Params::expand_stamps = false`) re-allocates and
-//! memsets per phase exactly as before; both paths are equivalent — see
-//! [`PhaseCells`] and the pinned equivalence tests.
+//! still `n` cells so runtime vertex ids index them directly, but they are
+//! **generation-stamped** ([`ExpandScratch`], allocated once per driver
+//! run): the per-phase "re-fill with NULL" is a generation bump — O(1)
+//! host work, zero simulated time, and no O(n) memset per phase (see
+//! [`PhaseCells`]).
 
 use crate::live::LiveSet;
 use crate::state::CcState;
@@ -43,93 +40,43 @@ use pram_sim::{Ctx, Handle, Pram, Stamped, NULL};
 /// First-dormant-round encoding: fully dormant (lost the block lottery).
 pub const FDR_FULLY: u64 = 0;
 
-/// A per-vertex phase-state array handed to EXPAND's charged steps:
-/// either a plain handle pre-filled with a stale value once per phase
-/// (the clear-based legacy path), or a generation-stamped block whose
-/// per-phase refill is a stamp-generation bump (the default). A read of
-/// a stamped cell whose stamp is stale returns the stale value, so the
-/// two representations expose identical cell *semantics*; they differ
-/// only in charged operation counts (a stamped read costs 1–2 reads, a
-/// stamped write 2 writes). Neither representation adds or removes a
-/// synchronous step, so the per-step coin streams are identical — runs
-/// with the two representations produce bit-identical results under the
-/// pid-only PRIORITY write policies and the same component partition
-/// under the seeded-arbitrary policy (pinned by this module's tests and
-/// the `live_work` proptests).
+/// A per-vertex phase-state array handed to EXPAND's charged steps: a
+/// generation-stamped block (owned by the driver's [`ExpandScratch`])
+/// plus the value its stale cells read as. The per-phase refill is a
+/// stamp-generation bump; a read of a cell whose stamp is stale returns
+/// the stale value. A read costs 1–2 charged reads (stamp, then value on
+/// a hit), a write 2 charged writes (value + stamp).
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseCells {
-    repr: CellsRepr,
+    cells: Stamped,
     stale: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum CellsRepr {
-    Plain(Handle),
-    Stamped(Stamped),
-}
-
 impl PhaseCells {
-    fn plain(h: Handle, stale: u64) -> Self {
-        PhaseCells {
-            repr: CellsRepr::Plain(h),
-            stale,
-        }
-    }
-
-    fn stamped(s: Stamped, stale: u64) -> Self {
-        PhaseCells {
-            repr: CellsRepr::Stamped(s),
-            stale,
-        }
-    }
-
-    /// Charged read of cell `i` (stale stamped cells read as the array's
-    /// stale value).
+    /// Charged read of cell `i` (stale cells read as the array's stale
+    /// value).
     #[inline]
     pub fn read(self, ctx: &mut Ctx<'_>, i: usize) -> u64 {
-        match self.repr {
-            CellsRepr::Plain(h) => ctx.read(h, i),
-            CellsRepr::Stamped(s) => ctx.read_stamped(s, i, self.stale),
-        }
+        ctx.read_stamped(self.cells, i, self.stale)
     }
 
     /// Charged write of cell `i`.
     #[inline]
     pub fn write(self, ctx: &mut Ctx<'_>, i: usize, val: u64) {
-        match self.repr {
-            CellsRepr::Plain(h) => ctx.write(h, i, val),
-            CellsRepr::Stamped(s) => ctx.write_stamped(s, i, val),
-        }
+        ctx.write_stamped(self.cells, i, val)
     }
 
     /// Host (uncharged) read of cell `i` — controller bookkeeping.
     pub fn host_get(self, pram: &Pram, i: usize) -> u64 {
-        match self.repr {
-            CellsRepr::Plain(h) => pram.get(h, i),
-            CellsRepr::Stamped(s) => pram.get_stamped(s, i, self.stale),
-        }
+        pram.get_stamped(self.cells, i, self.stale)
     }
 
     /// Host (uncharged) snapshot of every cell — tests and
     /// instrumentation.
     pub fn host_vec(self, pram: &Pram) -> Vec<u64> {
-        match self.repr {
-            CellsRepr::Plain(h) => pram.read_vec(h),
-            CellsRepr::Stamped(s) => {
-                let len = s.values.len();
-                (0..len)
-                    .map(|i| pram.get_stamped(s, i, self.stale))
-                    .collect()
-            }
-        }
-    }
-
-    /// Free the backing store if it is per-phase (plain); stamped blocks
-    /// are owned by the driver's [`ExpandScratch`] and outlive the phase.
-    fn free_per_phase(self, pram: &mut Pram) {
-        if let CellsRepr::Plain(h) = self.repr {
-            pram.free(h);
-        }
+        (0..self.cells.values.len())
+            .map(|i| self.host_get(pram, i))
+            .collect()
     }
 }
 
@@ -137,9 +84,7 @@ impl PhaseCells {
 /// (`fdr` and the step-3 liveness flags) as generation-stamped blocks:
 /// allocated once per run, after which each phase's "refill with
 /// NULL / 0" is a stamp-generation bump ([`Pram::host_stamped_fill`])
-/// instead of an O(n) memset. Enabled by default through
-/// [`crate::theorem1::Theorem1Params::expand_stamps`]; pass `None` to
-/// [`expand`] for the clear-based legacy path.
+/// instead of an O(n) memset.
 pub struct ExpandScratch {
     fdr: Stamped,
     live3: Stamped,
@@ -188,7 +133,7 @@ pub struct Expansion {
     pub owner: Handle,
     /// First-dormant-round per vertex: `NULL` = never dormant (live),
     /// `FDR_FULLY` = no block, `i + 1` = became dormant in round `i`.
-    /// Plain or generation-stamped per the caller's scratch choice.
+    /// Backed by the caller's [`ExpandScratch`].
     pub fdr: PhaseCells,
     /// The vertex→block hash.
     pub hb: PairwiseHash,
@@ -214,7 +159,6 @@ impl Expansion {
     pub fn free(self, pram: &mut Pram) {
         pram.free(self.tables);
         pram.free(self.owner);
-        self.fdr.free_per_phase(pram);
         for s in self.snapshots {
             pram.free(s);
         }
@@ -222,18 +166,16 @@ impl Expansion {
 }
 
 /// Run EXPAND on the current graph (the live arcs of `st`, scheduled over
-/// `live`); see module docs. With `Some(scratch)` the per-vertex phase
-/// arrays are the driver's generation-stamped blocks (refilled here by a
-/// stamp bump); with `None` they are allocated and memset per phase.
+/// `live`); see module docs. The per-vertex phase arrays are the driver's
+/// generation-stamped `scratch` blocks, refilled here by a stamp bump.
 pub fn expand(
     pram: &mut Pram,
     st: &CcState,
     params: &ExpandParams,
     seed: u64,
     live: &LiveSet,
-    scratch: Option<&mut ExpandScratch>,
+    scratch: &mut ExpandScratch,
 ) -> Expansion {
-    let n = st.n;
     let k = params.table_size;
     let nblocks = params.nblocks;
     assert!(k.is_power_of_two() && nblocks.is_power_of_two());
@@ -243,19 +185,15 @@ pub fn expand(
 
     let tables = pram.alloc_filled(nblocks * k, NULL);
     let owner = pram.alloc_filled(nblocks, NULL);
-    let (fdr, live3) = match scratch {
-        Some(s) => {
-            pram.host_stamped_fill(&mut s.fdr);
-            pram.host_stamped_fill(&mut s.live3);
-            (
-                PhaseCells::stamped(s.fdr, NULL),
-                PhaseCells::stamped(s.live3, 0),
-            )
-        }
-        None => (
-            PhaseCells::plain(pram.alloc_filled(n, NULL), NULL),
-            PhaseCells::plain(pram.alloc_filled(n, 0), 0),
-        ),
+    pram.host_stamped_fill(&mut scratch.fdr);
+    pram.host_stamped_fill(&mut scratch.live3);
+    let fdr = PhaseCells {
+        cells: scratch.fdr,
+        stale: NULL,
+    };
+    let live3 = PhaseCells {
+        cells: scratch.live3,
+        stale: 0,
     };
 
     // (There is no ongoing-flag pass: `live.verts` *is* the set of
@@ -428,7 +366,6 @@ pub fn expand(
     }
     pram.free(old);
     progress.free(pram);
-    live3.free_per_phase(pram);
 
     Expansion {
         k,
@@ -461,7 +398,8 @@ mod tests {
             snapshot: false,
             round_cap: 24,
         };
-        let e = expand(&mut pram, &st, &params, seed, &live, None);
+        let mut scratch = ExpandScratch::new(&mut pram, st.n);
+        let e = expand(&mut pram, &st, &params, seed, &live, &mut scratch);
         (pram, st, e)
     }
 
@@ -544,7 +482,8 @@ mod tests {
             snapshot: true,
             round_cap: 24,
         };
-        let e = expand(&mut pram, &st, &params, 5, &live, None);
+        let mut scratch = ExpandScratch::new(&mut pram, st.n);
+        let e = expand(&mut pram, &st, &params, 5, &live, &mut scratch);
         assert_eq!(e.snapshots.len() as u64, e.rounds + 1);
         for w in e.snapshots.windows(2) {
             let prev = pram.read_vec(w[0]);
@@ -555,29 +494,41 @@ mod tests {
         }
     }
 
+    /// `(seed, fdr digest, rounds)` of one EXPAND phase on `gnm(300, 900,
+    /// 13)` under the retired clear-based schedule (per-phase `n`-cell
+    /// arrays, memset on allocation). Both PRIORITY orders give the same
+    /// record here.
+    const CLEAR_BASED_FDR: [(u64, u64, u64); 3] = [
+        (1, 0xf80a_705d_404f_9547, 3),
+        (9, 0xa2d0_9040_9dc8_b35b, 3),
+        (42, 0xddc0_e745_1e3b_1155, 4),
+    ];
+
     #[test]
-    fn stamped_and_clear_paths_produce_identical_phase_state() {
+    fn priority_policies_reproduce_the_clear_based_phase_state() {
         // Stamps only change how cells are stored, not the step sequence,
         // so under a pid-only priority policy (address-independent write
-        // resolution) the recorded fdr must match cell for cell.
+        // resolution) the recorded fdr matches the clear-based schedule's
+        // cell for cell.
         let g = gen::gnm(300, 900, 13);
         for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
-            for seed in [1u64, 9, 42] {
-                let run = |stamped: bool| {
-                    let mut pram = Pram::new(policy);
-                    let st = CcState::init(&mut pram, &g);
-                    let live = LiveSet::full(&mut pram, &st);
-                    let params = ExpandParams {
-                        table_size: 8,
-                        nblocks: (4 * g.n()).next_power_of_two(),
-                        snapshot: false,
-                        round_cap: 24,
-                    };
-                    let mut scratch = stamped.then(|| ExpandScratch::new(&mut pram, st.n));
-                    let e = expand(&mut pram, &st, &params, seed, &live, scratch.as_mut());
-                    (e.fdr.host_vec(&pram), e.rounds)
+            for (seed, fdr_digest, rounds) in CLEAR_BASED_FDR {
+                let mut pram = Pram::new(policy);
+                let st = CcState::init(&mut pram, &g);
+                let live = LiveSet::full(&mut pram, &st);
+                let params = ExpandParams {
+                    table_size: 8,
+                    nblocks: (4 * g.n()).next_power_of_two(),
+                    snapshot: false,
+                    round_cap: 24,
                 };
-                assert_eq!(run(true), run(false), "policy {policy:?} seed {seed}");
+                let mut scratch = ExpandScratch::new(&mut pram, st.n);
+                let e = expand(&mut pram, &st, &params, seed, &live, &mut scratch);
+                assert_eq!(
+                    (crate::digest(&e.fdr.host_vec(&pram)), e.rounds),
+                    (fdr_digest, rounds),
+                    "policy {policy:?} seed {seed}"
+                );
             }
         }
     }
@@ -602,7 +553,7 @@ mod tests {
                 snapshot: false,
                 round_cap: 24,
             };
-            let e = expand(pram, &st, &params, seed, &live, Some(scratch));
+            let e = expand(pram, &st, &params, seed, &live, scratch);
             let dormant = e.fdr.host_vec(pram).iter().filter(|&&x| x != NULL).count();
             e.free(pram);
             dormant

@@ -90,16 +90,6 @@ pub struct Theorem1Params {
     pub max_phases: u64,
     /// Largest table size `K`.
     pub max_table: usize,
-    /// Back EXPAND's per-vertex phase arrays (`fdr`, step-3 liveness) by
-    /// driver-lifetime generation-stamped blocks ([`ExpandScratch`]): the
-    /// per-phase refill becomes a stamp bump instead of an O(n) memset,
-    /// removing the last per-phase work that scales with `n` rather than
-    /// the live set. `false` restores the clear-based per-phase
-    /// allocations; the two are equivalent (identical step sequence and
-    /// coin streams — pinned by the `live_work` equivalence proptest and
-    /// the priority-policy unit tests, like the MAXLINK stamps of
-    /// [`crate::theorem3::FasterParams::maxlink_stamps`]).
-    pub expand_stamps: bool,
 }
 
 impl Default for Theorem1Params {
@@ -114,7 +104,6 @@ impl Default for Theorem1Params {
             density: DensityMode::Combining,
             max_phases: 0,
             max_table: 1 << 12,
-            expand_stamps: true,
         }
     }
 }
@@ -217,7 +206,7 @@ pub fn connected_components_on_state(
     // ---------------------------------------------------------- main loop
     // Driver-lifetime stamped scratch for EXPAND's per-vertex arrays: one
     // allocation, every phase refills by a generation bump.
-    let mut scratch = params.expand_stamps.then(|| ExpandScratch::new(pram, n));
+    let mut scratch = ExpandScratch::new(pram, n);
     let max_phases = if params.max_phases > 0 {
         params.max_phases
     } else {
@@ -250,7 +239,7 @@ pub fn connected_components_on_state(
             snapshot: false,
             round_cap: (n.max(2) as f64).log2().ceil() as u64 + 6,
         };
-        let expansion = expand(pram, st, &exp_params, phase_seed, &live, scratch.as_mut());
+        let expansion = expand(pram, st, &exp_params, phase_seed, &live, &mut scratch);
         let p_lead = params.leader_prob(k);
         vote(pram, st, &expansion, &live, leader, p_lead, phase_seed);
         link_step(pram, st, &expansion, leader);
@@ -331,9 +320,7 @@ pub fn connected_components_on_state(
             "Theorem 1 produced a cyclic labeled digraph"
         );
     }
-    if let Some(s) = scratch {
-        s.free(pram);
-    }
+    scratch.free(pram);
     pram.free(leader);
     let stats = pram.stats();
     RunReport {
@@ -470,22 +457,21 @@ mod tests {
     }
 
     #[test]
-    fn stamped_expand_matches_clear_based_labels_under_priority_policies() {
+    fn priority_policies_reproduce_the_clear_based_labels() {
         // Stamps never alter the step sequence or coin streams, so under
-        // a pid-only priority policy the full run is bit-identical.
+        // a pid-only priority policy the full run is bit-identical to the
+        // retired clear-based EXPAND schedule, whose label digests these
+        // are.
         let g = gen::gnm(400, 1600, 5);
-        for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
-            let run_with = |stamps: bool| {
-                let params = Theorem1Params {
-                    expand_stamps: stamps,
-                    ..Default::default()
-                };
-                let mut pram = Pram::new(policy);
-                connected_components(&mut pram, &g, 9, &params).labels
-            };
-            let stamped = run_with(true);
-            assert_eq!(stamped, run_with(false), "policy {policy:?}");
-            check_labels(&g, &stamped).unwrap();
+        for (policy, want) in [
+            (WritePolicy::PriorityMin, 0x08c3_71f3_a19a_23e4),
+            (WritePolicy::PriorityMax, 0x9d31_36cd_8759_7f13),
+        ] {
+            let mut pram = Pram::new(policy);
+            let labels = connected_components(&mut pram, &g, 9, &Theorem1Params::default()).labels;
+            check_labels(&g, &labels).unwrap();
+            let words: Vec<u64> = labels.iter().map(|&l| l as u64).collect();
+            assert_eq!(crate::digest(&words), want, "policy {policy:?}");
         }
     }
 }

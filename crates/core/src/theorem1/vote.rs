@@ -80,7 +80,7 @@ pub fn link_step(pram: &mut Pram, st: &CcState, e: &Expansion, leader: Handle) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theorem1::expand::{expand, ExpandParams};
+    use crate::theorem1::expand::{expand, ExpandParams, ExpandScratch};
     use cc_graph::gen;
     use pram_sim::WritePolicy;
 
@@ -94,7 +94,8 @@ mod tests {
             snapshot: false,
             round_cap: 24,
         };
-        let e = expand(&mut pram, &st, &params, seed, &live, None);
+        let mut scratch = ExpandScratch::new(&mut pram, st.n);
+        let e = expand(&mut pram, &st, &params, seed, &live, &mut scratch);
         (pram, st, e, live)
     }
 

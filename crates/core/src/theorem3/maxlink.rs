@@ -14,29 +14,23 @@
 //! the live arcs / live table cells / live vertices only, so an invocation
 //! costs O(live), not O(n + m).
 //!
-//! **Generation-stamped candidates (default).** Candidate cells are
-//! allocated *per invocation* at `live_verts × (L_max + 1)` — each live
-//! vertex's row is its position in the live vertex list (`vert_slot`) —
-//! and each cell carries a generation stamp: a cell is occupied in the
-//! selection scan iff its stamp equals the current iteration's generation.
-//! The stamp check substitutes for the NULL sentinel, so neither an O(n)
-//! array nor a per-iteration clear step exists; stale cells (earlier
-//! iterations, or rows recycled from an earlier invocation's allocation)
-//! fail the stamp check instead of being overwritten with NULL. Writers
-//! whose target is not in the live vertex list skip (`NO_SLOT`), exactly
-//! mirroring the clear-based path's write-to-a-never-read-cell.
+//! **Generation-stamped candidates.** Candidate cells are allocated *per
+//! invocation* at `live_verts × (L_max + 1)` — each live vertex's row is
+//! its position in the live vertex list (`vert_slot`) — and each cell
+//! carries a generation stamp: a cell is occupied in the selection scan
+//! iff its stamp equals the current iteration's generation. The stamp
+//! check substitutes for a NULL sentinel, so neither an O(n) array nor a
+//! per-iteration clear step exists; stale cells (earlier iterations, or
+//! rows recycled from an earlier invocation's allocation) fail the stamp
+//! check instead of being overwritten with NULL. Writers whose target is
+//! not in the live vertex list skip (`NO_SLOT`): no selection scan would
+//! read that cell.
 //!
-//! **Equivalence with the clear-based path.** Per logical candidate cell,
-//! both paths have the same writer set (same index lists, same processor
-//! ids, same values) and the same reader. Under resolution rules that
-//! depend only on the processor id (PRIORITY-MIN/MAX) the committed
-//! winners — hence all parent updates — are *identical*, which
-//! `stamped_matches_clear_exactly_under_priority_policies` pins. Under
-//! `ArbitrarySeeded`, the winner hash also covers the cell's address, and
-//! the two layouts place logical cells at different addresses — the two
-//! paths are then two different (equally legal) ARBITRARY machines, so
-//! equivalence is at the partition level (pinned by the driver-level
-//! proptest in `tests/live_work.rs` across dedup cadences).
+//! Under resolution rules that depend only on the processor id
+//! (PRIORITY-MIN/MAX) the committed winners do not depend on where the
+//! cells live, so the parents are pinned exactly against the retired
+//! clear-based schedule (`n × (L_max + 1)` array, NULL clear per
+//! iteration) in `priority_policies_reproduce_the_clear_based_parents`.
 //!
 //! Tie handling: the update fires only when the best candidate's level
 //! *strictly* exceeds the current parent's — preferring the incumbent
@@ -60,14 +54,12 @@ pub(crate) use crate::live::NO_SLOT;
 
 /// Shared context for a MAXLINK invocation.
 pub(crate) struct MaxlinkCtx<'a> {
-    /// Candidate array. Stamped mode: `live_verts.len() × (lmax + 1)`
-    /// cells, row = slot in `live_verts`. Clear mode: `n × (lmax + 1)`
-    /// cells, row = vertex id.
+    /// Candidate array: `live_verts.len() × (lmax + 1)` cells, row = slot
+    /// in `live_verts`.
     pub cand: Handle,
-    /// Generation stamps, same shape as `cand` — `Some` selects the
-    /// stamped path, `None` the clear-based legacy path.
-    pub cstamp: Option<Handle>,
-    /// vertex → row in `cand` (stamped mode only; ignored by clear mode).
+    /// Generation stamps, same shape as `cand`.
+    pub cstamp: Handle,
+    /// vertex → row in `cand` (`NO_SLOT` for vertices not in `live_verts`).
     pub vert_slot: &'a [u32],
     /// Level array.
     pub level: Handle,
@@ -87,7 +79,7 @@ pub(crate) struct MaxlinkCtx<'a> {
 }
 
 /// One MAXLINK iteration; raises `changed` if any parent moved. `gen` is
-/// the iteration's generation stamp (≥ 1; unused by the clear path).
+/// the iteration's generation stamp (≥ 1).
 pub(crate) fn maxlink_iter(
     pram: &mut Pram,
     st: &CcState,
@@ -96,41 +88,23 @@ pub(crate) fn maxlink_iter(
     gen: u64,
 ) {
     let stride = mx.lmax + 1;
-    let (cand, level, eoff, heap) = (mx.cand, mx.level, mx.eoff, mx.heap);
-    let cstamp = mx.cstamp;
+    let (cand, cstamp, level, eoff, heap) = (mx.cand, mx.cstamp, mx.level, mx.eoff, mx.heap);
     let slot = mx.vert_slot;
     let parent = st.parent;
     let (eu, ev) = (st.eu, st.ev);
-
-    // Clear-based path only: NULL the candidate cells of live vertices
-    // (one processor per cell). The stamped path needs no clear — that is
-    // its point.
     let lv = mx.live_verts;
-    if cstamp.is_none() {
-        pram.step(lv.len() * stride, move |i, ctx| {
-            let i = i as usize;
-            let v = lv[i / stride] as usize;
-            ctx.write(cand, v * stride + i % stride, NULL);
-        });
-    }
 
-    // A candidate write: `pb` proposed for `target` at `pb`'s level.
-    // Stamped mode maps the target through the slot map (a `NO_SLOT` miss
-    // mirrors the clear path's write to a cell no selection scan reads)
-    // and stamps the cell; all stampers write the same `gen`, so any
-    // ARBITRARY winner leaves the cell occupied.
+    // A candidate write: `pb` proposed for `target` at `pb`'s level. The
+    // target maps through the slot map (a `NO_SLOT` miss has no row any
+    // selection scan reads) and the cell is stamped; all stampers write
+    // the same `gen`, so any ARBITRARY winner leaves the cell occupied.
     let propose = move |ctx: &mut pram_sim::Ctx, target: u64, pb: u64, lpb: usize| {
-        let row = match cstamp {
-            Some(_) => match slot[target as usize] {
-                NO_SLOT => return,
-                s => s as usize,
-            },
-            None => target as usize,
+        let row = match slot[target as usize] {
+            NO_SLOT => return,
+            s => s as usize,
         };
         ctx.write(cand, row * stride + lpb, pb);
-        if let Some(stamp) = cstamp {
-            ctx.write(stamp, row * stride + lpb, gen);
-        }
+        ctx.write(cstamp, row * stride + lpb, gen);
     };
 
     // Arc candidates: for live arc (a, b), b's parent is a candidate for a.
@@ -166,22 +140,14 @@ pub(crate) fn maxlink_iter(
 
     // Selection: highest occupied level wins; update on strict improvement
     // over the current parent's level. Charged one step (see module docs);
-    // the scan is L_max+1 local reads (2× in stamped mode, stamp + value),
-    // visible in the audit counter. In stamped mode the processor index
-    // *is* the vertex's row.
+    // the scan is up to L_max+1 stamp reads plus one value read, visible
+    // in the audit counter. The processor index *is* the vertex's row.
     pram.step_over(lv, |p, &v, ctx| {
-        let row = match cstamp {
-            Some(_) => p as usize,
-            None => v as usize,
-        };
+        let row = p as usize;
         let pv = ctx.read(parent, v as usize);
         let lp = ctx.read(level, pv as usize) as usize;
         for l in (lp + 1..stride).rev() {
-            let occupied = match cstamp {
-                Some(stamp) => ctx.read(stamp, row * stride + l) == gen,
-                None => ctx.read(cand, row * stride + l) != NULL,
-            };
-            if occupied {
+            if ctx.read(cstamp, row * stride + l) == gen {
                 let u = ctx.read(cand, row * stride + l);
                 ctx.write(parent, v as usize, u);
                 changed.raise(ctx);
@@ -206,44 +172,77 @@ mod tests {
     use cc_graph::gen;
     use pram_sim::WritePolicy;
 
-    /// Build a machine with a path graph and hand-set levels.
-    fn setup(levels: &[u64]) -> (Pram, CcState, Handle, Handle) {
-        let g = gen::path(levels.len());
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(5));
-        let st = CcState::init(&mut pram, &g);
+    /// A machine with `g` loaded and hand-set levels.
+    fn setup_graph(
+        policy: WritePolicy,
+        g: &cc_graph::Graph,
+        levels: &[u64],
+    ) -> (Pram, CcState, Handle) {
+        let mut pram = Pram::new(policy);
+        let st = CcState::init(&mut pram, g);
         let level = pram.alloc(levels.len());
         for (v, &l) in levels.iter().enumerate() {
             pram.set(level, v, l);
         }
-        let lmax = 8;
-        let cand = pram.alloc(levels.len() * (lmax + 1));
-        (pram, st, level, cand)
+        (pram, st, level)
     }
 
-    fn run_iter(pram: &mut Pram, st: &CcState, level: Handle, cand: Handle) -> bool {
+    /// A path graph with hand-set levels.
+    fn setup(levels: &[u64]) -> (Pram, CcState, Handle) {
+        setup_graph(
+            WritePolicy::ArbitrarySeeded(5),
+            &gen::path(levels.len()),
+            levels,
+        )
+    }
+
+    /// One MAXLINK invocation of `iters` iterations over the given live
+    /// arcs and vertices, with a fresh candidate/stamp allocation (as the
+    /// driver makes per invocation). Returns whether any parent moved.
+    fn invoke(
+        pram: &mut Pram,
+        st: &CcState,
+        level: Handle,
+        live_arcs: &[u32],
+        live_verts: &[u32],
+        iters: u32,
+    ) -> bool {
+        let lmax = 8;
+        let sz = (live_verts.len() * (lmax + 1)).max(1);
+        let (cand, cstamp) = (pram.alloc(sz), pram.alloc(sz));
+        let mut vert_slot = vec![NO_SLOT; st.n];
+        for (i, &v) in live_verts.iter().enumerate() {
+            vert_slot[v as usize] = i as u32;
+        }
         let eoff = pram.alloc_filled(st.n, NULL);
-        let changed = Flag::new(pram);
         let heap = pram.alloc_filled(1, NULL);
-        let live_arcs: Vec<u32> = (0..st.arcs as u32).collect();
-        let live_verts: Vec<u32> = (0..st.n as u32).collect();
+        let changed = Flag::new(pram);
         let mx = MaxlinkCtx {
             cand,
-            cstamp: None,
-            vert_slot: &[],
+            cstamp,
+            vert_slot: &vert_slot,
             level,
-            lmax: 8,
-            live_arcs: &live_arcs,
-            live_verts: &live_verts,
+            lmax,
+            live_arcs,
+            live_verts,
             table_cells: &[],
             eoff,
             heap,
         };
-        maxlink_iter(pram, st, &mx, &changed, 1);
+        maxlink(pram, st, &mx, &changed, iters);
         let r = changed.read(pram);
         changed.free(pram);
-        pram.free(eoff);
-        pram.free(heap);
+        for h in [cand, cstamp, eoff, heap] {
+            pram.free(h);
+        }
         r
+    }
+
+    /// One single-iteration invocation over every arc and vertex.
+    fn run_iter(pram: &mut Pram, st: &CcState, level: Handle) -> bool {
+        let live_arcs: Vec<u32> = (0..st.arcs as u32).collect();
+        let live_verts: Vec<u32> = (0..st.n as u32).collect();
+        invoke(pram, st, level, &live_arcs, &live_verts, 1)
     }
 
     #[test]
@@ -251,16 +250,16 @@ mod tests {
         // Path 0-1-2; levels: 1, 1, 3. Vertices 0: neighbors {1}: parent 1
         // level 1 — no move. Vertex 1: neighbor 2 has parent 2 at level 3 >
         // own parent's level 1 → hook onto 2.
-        let (mut pram, st, level, cand) = setup(&[1, 1, 3]);
-        assert!(run_iter(&mut pram, &st, level, cand));
+        let (mut pram, st, level) = setup(&[1, 1, 3]);
+        assert!(run_iter(&mut pram, &st, level));
         let p = pram.read_vec(st.parent);
         assert_eq!(p, vec![0, 2, 2]);
     }
 
     #[test]
     fn no_change_on_equal_levels() {
-        let (mut pram, st, level, cand) = setup(&[2, 2, 2, 2]);
-        assert!(!run_iter(&mut pram, &st, level, cand));
+        let (mut pram, st, level) = setup(&[2, 2, 2, 2]);
+        assert!(!run_iter(&mut pram, &st, level));
         assert_eq!(pram.read_vec(st.parent), vec![0, 1, 2, 3]);
     }
 
@@ -270,9 +269,9 @@ mod tests {
         // after the second, 0 sees neighbor 1 whose parent is 2 (level 5)
         // and hooks onto 2 as well — the "distance 2" effect MAXLINK
         // exists for (Lemma 3.7 applied twice).
-        let (mut pram, st, level, cand) = setup(&[1, 1, 5]);
-        run_iter(&mut pram, &st, level, cand);
-        run_iter(&mut pram, &st, level, cand);
+        let (mut pram, st, level) = setup(&[1, 1, 5]);
+        run_iter(&mut pram, &st, level);
+        run_iter(&mut pram, &st, level);
         let p = pram.read_vec(st.parent);
         assert_eq!(p, vec![2, 2, 2]);
     }
@@ -282,7 +281,7 @@ mod tests {
         // Arcs past the live prefix are loops after an ALTER; feeding only
         // the live prefix must give the same hooks as feeding everything
         // (loops contribute no candidates either way).
-        let (mut pram, st, level, cand) = setup(&[1, 1, 4, 1]);
+        let (mut pram, st, level) = setup(&[1, 1, 4, 1]);
         // Make arcs of vertex 3 loops by hand.
         let eu = pram.read_vec(st.eu);
         let ev = pram.read_vec(st.ev);
@@ -295,23 +294,7 @@ mod tests {
                 pram.set(st.ev, i, 0);
             }
         }
-        let eoff = pram.alloc_filled(st.n, NULL);
-        let changed = Flag::new(&mut pram);
-        let heap = pram.alloc_filled(1, NULL);
-        let live_verts: Vec<u32> = vec![0, 1, 2];
-        let mx = MaxlinkCtx {
-            cand,
-            cstamp: None,
-            vert_slot: &[],
-            level,
-            lmax: 8,
-            live_arcs: &live,
-            live_verts: &live_verts,
-            table_cells: &[],
-            eoff,
-            heap,
-        };
-        maxlink_iter(&mut pram, &st, &mx, &changed, 1);
+        invoke(&mut pram, &st, level, &live, &[0, 1, 2], 1);
         let p = pram.read_vec(st.parent);
         assert_eq!(p, vec![0, 2, 2, 3]);
     }
@@ -321,16 +304,10 @@ mod tests {
         // Random levels on a grid; after MAXLINK, every non-root's parent
         // has strictly higher level (Lemma 3.2 / D.4).
         let g = gen::grid(5, 5);
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(9));
-        let st = CcState::init(&mut pram, &g);
-        let level = pram.alloc(st.n);
-        for v in 0..st.n {
-            pram.set(level, v, (v as u64 * 7 + 3) % 5);
-        }
-        let lmax = 8;
-        let cand = pram.alloc(st.n * (lmax + 1));
-        run_iter(&mut pram, &st, level, cand);
-        run_iter(&mut pram, &st, level, cand);
+        let levels: Vec<u64> = (0..g.n() as u64).map(|v| (v * 7 + 3) % 5).collect();
+        let (mut pram, st, level) = setup_graph(WritePolicy::ArbitrarySeeded(9), &g, &levels);
+        run_iter(&mut pram, &st, level);
+        run_iter(&mut pram, &st, level);
         let p = pram.read_vec(st.parent);
         let l = pram.read_vec(level);
         crate::verify::forest_heights(&p).expect("cycle created by MAXLINK");
@@ -347,79 +324,88 @@ mod tests {
         }
     }
 
-    /// Run a full MAXLINK invocation in one mode and return the parents.
-    fn run_mode(
-        policy: WritePolicy,
-        levels: &[u64],
-        stamped: bool,
-        live_verts: &[u32],
-        iters: u32,
-    ) -> Vec<u64> {
+    /// Run a full MAXLINK invocation on a `gnm` graph and return the
+    /// parents.
+    fn run_mode(policy: WritePolicy, levels: &[u64], live_verts: &[u32], iters: u32) -> Vec<u64> {
         let g = gen::gnm(levels.len(), levels.len() * 3, 7);
-        let mut pram = Pram::new(policy);
-        let st = CcState::init(&mut pram, &g);
-        let level = pram.alloc(levels.len());
-        for (v, &l) in levels.iter().enumerate() {
-            pram.set(level, v, l);
-        }
-        let lmax = 8;
-        let stride = lmax + 1;
+        let (mut pram, st, level) = setup_graph(policy, &g, levels);
         let live_arcs: Vec<u32> = (0..st.arcs as u32).collect();
-        let eoff = pram.alloc_filled(st.n, NULL);
-        let heap = pram.alloc_filled(1, NULL);
-        let changed = Flag::new(&mut pram);
-        let mut vert_slot = vec![NO_SLOT; st.n];
-        for (i, &v) in live_verts.iter().enumerate() {
-            vert_slot[v as usize] = i as u32;
-        }
-        let (cand, cstamp) = if stamped {
-            let sz = (live_verts.len() * stride).max(1);
-            (pram.alloc(sz), Some(pram.alloc(sz)))
-        } else {
-            (pram.alloc_filled(st.n * stride, NULL), None)
-        };
-        let mx = MaxlinkCtx {
-            cand,
-            cstamp,
-            vert_slot: &vert_slot,
-            level,
-            lmax,
-            live_arcs: &live_arcs,
-            live_verts,
-            table_cells: &[],
-            eoff,
-            heap,
-        };
-        maxlink(&mut pram, &st, &mx, &changed, iters);
-        changed.free(&mut pram);
+        invoke(&mut pram, &st, level, &live_arcs, live_verts, iters);
         pram.read_vec(st.parent)
     }
 
+    /// Parent digests of the retired clear-based schedule (`n × (L_max+1)`
+    /// candidate array, NULL clear per iteration), per `n`:
+    /// `[PriorityMin × 1 iter, PriorityMin × 2, PriorityMax × 1, PriorityMax × 2]`.
+    const CLEAR_BASED_PARENT_DIGESTS: [(usize, [u64; 4]); 4] = [
+        (
+            8,
+            [
+                0xd549_0900_ecc8_fae9,
+                0xd549_0900_ecc8_fae9,
+                0x7cc0_6db5_c59c_8bf7,
+                0x7cc0_6db5_c59c_8bf7,
+            ],
+        ),
+        (
+            23,
+            [
+                0x95cd_eee5_e4ef_a78e,
+                0xbf5a_785c_fc68_8aea,
+                0xf3d8_661a_7f01_6623,
+                0x69cd_34c9_f797_55a0,
+            ],
+        ),
+        (
+            57,
+            [
+                0x0db6_d61c_8020_9036,
+                0xdab4_18b9_c158_84a4,
+                0xbc08_7e2e_8ba3_cfbb,
+                0x159a_fad6_8381_45ec,
+            ],
+        ),
+        (
+            96,
+            [
+                0x349b_6b8e_d6ee_eee3,
+                0xa626_c8ff_b46c_8db6,
+                0xea74_add6_6463_8d4c,
+                0xdf6d_23b2_b530_eb43,
+            ],
+        ),
+    ];
+
     #[test]
-    fn stamped_matches_clear_exactly_under_priority_policies() {
-        // The pinned-label equivalence proof: identical writer sets per
-        // logical candidate cell + address-independent write resolution ⇒
-        // identical committed winners ⇒ identical parents, bit for bit.
-        for n in [8usize, 23, 57, 96] {
+    fn priority_policies_reproduce_the_clear_based_parents() {
+        // Identical writer sets per logical candidate cell + address-
+        // independent write resolution ⇒ identical committed winners ⇒
+        // identical parents, bit for bit, whatever the cell layout.
+        for (n, want) in CLEAR_BASED_PARENT_DIGESTS {
             let levels: Vec<u64> = (0..n as u64).map(|v| (v * 13 + 5) % 6).collect();
             let live_verts: Vec<u32> = (0..n as u32).collect();
+            let mut got = Vec::new();
             for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
                 for iters in [1u32, 2] {
-                    let a = run_mode(policy, &levels, false, &live_verts, iters);
-                    let b = run_mode(policy, &levels, true, &live_verts, iters);
-                    assert_eq!(a, b, "n={n} policy={policy:?} iters={iters}");
+                    got.push(crate::digest(&run_mode(
+                        policy,
+                        &levels,
+                        &live_verts,
+                        iters,
+                    )));
                 }
             }
+            assert_eq!(got, want, "n={n}");
         }
     }
 
     #[test]
-    fn stamped_skips_targets_outside_live_verts() {
-        // A target missing from the slot map must be skipped (the clear
-        // path writes a never-read cell there) — no panic, no hook.
+    fn targets_outside_live_verts_are_skipped() {
+        // A target missing from the slot map must be skipped — no panic,
+        // no hook.
         let levels = vec![1, 1, 4, 1, 1, 1, 1, 1];
         let live_verts: Vec<u32> = vec![0, 1, 2]; // rest are NO_SLOT
-        let p = run_mode(WritePolicy::PriorityMin, &levels, true, &live_verts, 2);
+        let p = run_mode(WritePolicy::PriorityMin, &levels, &live_verts, 2);
         for (v, &pv) in p.iter().enumerate().skip(3) {
             assert_eq!(pv, v as u64, "non-live vertex {v} moved");
         }
@@ -428,25 +414,16 @@ mod tests {
     #[test]
     fn stale_generations_are_invisible() {
         // Two iterations share one allocation; iteration 2's selection must
-        // not resurrect iteration 1's candidates. A path 0-1-2 where only
-        // the first iteration's arc list proposes anything for vertex 0:
-        // feed iteration 2 an empty arc list by making the arcs loops
-        // mid-way is awkward at this level, so instead check the stamp
-        // mechanics directly: after a full 2-iteration run the result obeys
-        // Lemma 3.2 (strictly increasing levels), which a stale-candidate
+        // not resurrect iteration 1's candidates. Checked through the
+        // result: after a full 2-iteration run the parents obey Lemma 3.2
+        // (strictly increasing levels), which a stale-candidate
         // resurrection (hooking onto a since-relabeled parent at a now-wrong
         // level) would violate with high probability across seeds.
         for seed in 0..20u64 {
             let n = 40;
             let levels: Vec<u64> = (0..n as u64).map(|v| (v * 7 + seed) % 5).collect();
             let live_verts: Vec<u32> = (0..n as u32).collect();
-            let p = run_mode(
-                WritePolicy::ArbitrarySeeded(seed),
-                &levels,
-                true,
-                &live_verts,
-                2,
-            );
+            let p = run_mode(WritePolicy::ArbitrarySeeded(seed), &levels, &live_verts, 2);
             crate::verify::forest_heights(&p).expect("cycle created by stamped MAXLINK");
         }
     }

@@ -109,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn hairy_path_density_scales_with_width() {
+    fn hairy_path_density_scales_with_hair_count() {
         let g2 = hairy_clique_path(10, 2, 1);
         let g8 = hairy_clique_path(10, 8, 1);
         assert!(g8.density() > 2.0 * g2.density());

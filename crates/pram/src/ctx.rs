@@ -9,13 +9,13 @@
 //! Write records carry no precomputed priority: the seeded-arbitrary
 //! policies derive the winner from `(seed, addr, value)` at commit time
 //! and the processor-priority policies from the record's processor id, so
-//! a buffered write is 16 bytes — and only 8 under narrow cells with a
-//! value-resolved policy (see `NarrowRec` in this module).
+//! a buffered write is 8 bytes under a value-resolved policy (see
+//! `NarrowRec` in this module) and 16 under a processor-priority one.
 
 use crate::mem::{narrow_encode, CellsRef, Handle, NARROW_ESC};
 use crate::splitmix64;
 
-/// One buffered write (full-width record).
+/// One buffered write (full-width record, processor-priority policies).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WriteRec {
     pub(crate) addr: u32,
@@ -39,10 +39,11 @@ pub(crate) struct NarrowRec {
 
 /// One shard's buffered writes.
 pub(crate) enum ShardBuf {
-    /// Full-width records (any policy, any cell width).
+    /// Full-width records (the `Priority*` policies, which resolve by
+    /// processor id and so must carry it).
     Wide(Vec<WriteRec>),
-    /// Narrow records + escape side list (narrow cells with a policy that
-    /// resolves from the value, i.e. everything but `Priority*`).
+    /// Narrow records + escape side list (every policy that resolves from
+    /// the value, i.e. everything but `Priority*`).
     Narrow {
         recs: Vec<NarrowRec>,
         wide: Vec<u64>,
@@ -69,7 +70,7 @@ impl ShardBuf {
 }
 
 /// Record layout a machine's steps buffer writes in (fixed per machine:
-/// chosen from the policy and cell width at construction).
+/// chosen from the policy at construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RecLayout {
     Wide,
@@ -117,17 +118,21 @@ impl<'a> Ctx<'a> {
     /// Fresh-buffer constructor (tests; the machine recycles via
     /// [`Ctx::new_in`]).
     #[cfg(test)]
-    pub(crate) fn new(words: &'a [u64], shard_count: u32, step_seed: u64) -> Self {
-        let layout = RecLayout::Wide;
+    pub(crate) fn new(
+        mem: CellsRef<'a>,
+        layout: RecLayout,
+        shard_count: u32,
+        step_seed: u64,
+    ) -> Self {
         Self::new_in(
-            CellsRef::W64(words),
+            mem,
             shard_count,
             step_seed,
             (0..shard_count).map(|_| layout.empty_shard()).collect(),
         )
     }
 
-    /// Like [`Ctx::new`] but over any cell representation and reusing
+    /// A context over `mem` reusing
     /// `shards` buffers recycled from an earlier step (must be empty,
     /// `shard_count` of them, in the machine's record layout; their
     /// capacity is the point — steady-state steps allocate nothing).
@@ -274,11 +279,16 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::WideTable;
 
     #[test]
     fn writes_are_sharded_by_address() {
-        let words = vec![0u64; 64];
-        let mut ctx = Ctx::new(&words, 4, 0);
+        let (cells, wide) = (vec![0u32; 64], WideTable::new());
+        let mem = CellsRef {
+            cells: &cells,
+            wide: &wide,
+        };
+        let mut ctx = Ctx::new(mem, RecLayout::Wide, 4, 0);
         ctx.begin_proc(1);
         let h = Handle { base: 0, len: 64 };
         for i in 0..16 {
@@ -302,13 +312,12 @@ mod tests {
 
     #[test]
     fn narrow_layout_escapes_oversized_values() {
-        let cells = vec![0u32; 8];
-        let wide = crate::mem::WideTable::new();
-        let mem = CellsRef::W32 {
+        let (cells, wide) = (vec![0u32; 8], WideTable::new());
+        let mem = CellsRef {
             cells: &cells,
             wide: &wide,
         };
-        let mut ctx = Ctx::new_in(mem, 1, 0, vec![RecLayout::Narrow.empty_shard()]);
+        let mut ctx = Ctx::new(mem, RecLayout::Narrow, 1, 0);
         ctx.begin_proc(0);
         let h = Handle { base: 0, len: 8 };
         ctx.write(h, 0, 5);
@@ -328,8 +337,12 @@ mod tests {
 
     #[test]
     fn rand_depends_on_proc_and_tag() {
-        let words = vec![0u64; 1];
-        let mut ctx = Ctx::new(&words, 1, 7);
+        let (cells, wide) = (vec![0u32; 1], WideTable::new());
+        let mem = CellsRef {
+            cells: &cells,
+            wide: &wide,
+        };
+        let mut ctx = Ctx::new(mem, RecLayout::Narrow, 1, 7);
         ctx.begin_proc(0);
         let a = ctx.rand(0);
         let b = ctx.rand(1);
@@ -344,8 +357,12 @@ mod tests {
 
     #[test]
     fn coin_matches_probability_roughly() {
-        let words = vec![0u64; 1];
-        let mut ctx = Ctx::new(&words, 1, 99);
+        let (cells, wide) = (vec![0u32; 1], WideTable::new());
+        let mem = CellsRef {
+            cells: &cells,
+            wide: &wide,
+        };
+        let mut ctx = Ctx::new(mem, RecLayout::Narrow, 1, 99);
         let mut hits = 0;
         let trials = 20_000;
         for p in 0..trials {

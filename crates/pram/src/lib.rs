@@ -33,9 +33,10 @@
 //!    discipline: the maximum number of memory operations any single
 //!    processor performed in a step is recorded, so a step that smuggles a
 //!    loop past the model is visible in the numbers. Where the paper charges
-//!    O(1) time for a primitive that needs polylog processor slack (see
-//!    DESIGN.md §1.2) the caller uses [`Pram::step_charged`] and the charge
-//!    is recorded separately.
+//!    O(1) time for a primitive that needs polylog processor slack (e.g.
+//!    the approximate compaction of Lemma D.2; see ARCHITECTURE.md, "The
+//!    charge / live-work accounting model") the caller uses
+//!    [`Pram::step_charged`] and the charge is recorded separately.
 //!
 //! Memory is managed by a size-class arena (`mem::Arena`) so the
 //! level/budget block machinery of the paper (allocate a block of size
@@ -69,7 +70,7 @@ pub mod stats;
 pub use ctx::Ctx;
 pub use error::PramError;
 pub use machine::{Pram, Stamped};
-pub use mem::{CellWidth, Handle, MemView, NULL};
+pub use mem::{Handle, MemView, NULL};
 pub use resolve::{CombineOp, WritePolicy};
 pub use stats::Stats;
 

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use rayon::prelude::*;
 
 use crate::ctx::{Ctx, CtxOut, RecLayout, ShardBuf};
-use crate::mem::{narrow_encode, Arena, CellWidth, CellsPtr, Handle, MemView, WideTable};
+use crate::mem::{narrow_encode, Arena, Handle, MemView, WideTable};
 use crate::mem::{NARROW_ESC, NARROW_NULL, NULL};
 use crate::resolve::{hashed_prio, CombineOp, Resolution, WritePolicy};
 use crate::splitmix64;
@@ -57,19 +57,12 @@ pub struct Pram {
 }
 
 impl Pram {
-    /// Create a machine with the given write-resolution policy and
-    /// full-width (8-byte) cells.
-    pub fn new(policy: WritePolicy) -> Self {
-        Self::with_width(policy, CellWidth::W64)
-    }
-
-    /// Create a machine with an explicit cell width (see [`CellWidth`]).
+    /// Create a machine with the given write-resolution policy.
     ///
-    /// `W32` halves the dominant per-word storage for drivers whose values
-    /// fit 32 bits (any `u64` still round-trips via the escape table); the
-    /// committed image is bit-identical to a `W64` machine's for the same
-    /// program, policy and seed — width is a host-memory knob only.
-    pub fn with_width(policy: WritePolicy, width: CellWidth) -> Self {
+    /// Cells are 4 bytes; any `u64` still round-trips through the escape
+    /// table (see [`crate::mem`]), so the stored width never shows in a
+    /// program's results.
+    pub fn new(policy: WritePolicy) -> Self {
         let threads = rayon::current_num_threads();
         // Sharding the commit by address only pays for itself across real
         // threads; scale shards with the pool (a few per thread so commit
@@ -79,13 +72,13 @@ impl Pram {
             WritePolicy::ArbitrarySeeded(s) | WritePolicy::CrewChecked(s) => s,
             _ => 0x5EED_0BAD_CAFE_F00D,
         };
-        let layout = if width == CellWidth::W32 && !policy.needs_prio_sidecar() {
-            RecLayout::Narrow
-        } else {
+        let layout = if policy.needs_prio_sidecar() {
             RecLayout::Wide
+        } else {
+            RecLayout::Narrow
         };
         Pram {
-            mem: Arena::new(width, policy.needs_prio_sidecar()),
+            mem: Arena::new(policy.needs_prio_sidecar()),
             policy,
             resolution: policy.resolution(),
             layout,
@@ -107,11 +100,6 @@ impl Pram {
         self.policy
     }
 
-    /// The machine's cell width.
-    pub fn width(&self) -> CellWidth {
-        self.mem.width()
-    }
-
     /// Resource accounting so far (space fields refreshed on read).
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
@@ -122,8 +110,8 @@ impl Pram {
 
     /// Actual heap bytes behind the arena's per-word arrays (cells,
     /// stamps, and the priority sidecar if the policy needs one) — the
-    /// measured bytes-per-word footprint: ≤ 12·words full-width for
-    /// non-priority policies, ≤ 8·words narrow.
+    /// measured bytes-per-word footprint: ≤ 8·words for non-priority
+    /// policies, ≤ 16·words with the priority sidecar.
     pub fn arena_backing_bytes(&self) -> usize {
         self.mem.backing_bytes()
     }
@@ -222,20 +210,9 @@ impl Pram {
         self.mem.store(h.addr(i) as usize, v);
     }
 
-    /// Host view of a whole block, valid at either cell width (narrow
-    /// cells decode transparently). The width-agnostic replacement for
-    /// [`Pram::slice`].
+    /// Host view of a whole block (narrow cells decode transparently).
     pub fn view(&self, h: Handle) -> MemView<'_> {
         MemView::new(self.mem.cells_ref(), h.base as usize, h.len as usize)
-    }
-
-    /// Host `&[u64]` view of a whole block.
-    ///
-    /// Only available at [`CellWidth::W64`] (panics on a narrow machine —
-    /// narrow cells have no contiguous `u64` representation); host code
-    /// that must work at any width uses [`Pram::view`].
-    pub fn slice(&self, h: Handle) -> &[u64] {
-        self.mem.words_u64(h.base as usize, h.len as usize)
     }
 
     /// Copy a block out (host side).
@@ -369,8 +346,9 @@ impl Pram {
     ///
     /// Used where the paper proves an O(1)- or O(k)-time bound that relies
     /// on processor slack the simulator does not spend host time emulating
-    /// (DESIGN.md §1.2). The per-processor op audit still reports the real
-    /// op count.
+    /// (e.g. Lemma D.2's O(1)-time approximate compaction; see
+    /// ARCHITECTURE.md, "The charge / live-work accounting model"). The
+    /// per-processor op audit still reports the real op count.
     ///
     /// An *executed* step is capped at 2^32 processors (write records
     /// carry the processor id as `u32` for priority resolution; executing
@@ -597,7 +575,7 @@ pub struct Stamped {
 /// (keeping the `Sync` reasoning in one place) rather than the raw-pointer
 /// fields individually.
 struct ShardedMem<'a> {
-    cells: CellsPtr,
+    cells: *mut u32,
     stamp: *mut u32,
     /// Null unless the policy needs the processor-priority sidecar.
     prio: *mut u64,
@@ -611,31 +589,25 @@ impl ShardedMem<'_> {
     /// `a` in bounds; no concurrent access to the cell (see commit).
     #[inline]
     unsafe fn load(&self, a: usize) -> u64 {
-        match self.cells {
-            CellsPtr::W64(p) => unsafe { *p.add(a) },
-            CellsPtr::W32(p) => match unsafe { *p.add(a) } {
-                NARROW_NULL => NULL,
-                NARROW_ESC => self.wide.get(a as u32),
-                x => x as u64,
-            },
+        match unsafe { *self.cells.add(a) } {
+            NARROW_NULL => NULL,
+            NARROW_ESC => self.wide.get(a as u32),
+            x => x as u64,
         }
     }
 
-    /// Store `v` at `a` (encoding for narrow cells).
+    /// Store `v` at `a` (narrow-encoded, escaping if it does not fit).
     ///
     /// # Safety
     /// As for [`ShardedMem::load`].
     #[inline]
     unsafe fn store(&self, a: usize, v: u64) {
-        match self.cells {
-            CellsPtr::W64(p) => unsafe { *p.add(a) = v },
-            CellsPtr::W32(p) => match narrow_encode(v) {
-                Some(x) => unsafe { *p.add(a) = x },
-                None => {
-                    self.wide.set(a as u32, v);
-                    unsafe { *p.add(a) = NARROW_ESC };
-                }
-            },
+        match narrow_encode(v) {
+            Some(x) => unsafe { *self.cells.add(a) = x },
+            None => {
+                self.wide.set(a as u32, v);
+                unsafe { *self.cells.add(a) = NARROW_ESC };
+            }
         }
     }
 
@@ -1001,7 +973,7 @@ mod tests {
 
     /// A mixed program touching every representability class (small
     /// values, NULL, >32-bit values, combining steps, stamped blocks),
-    /// used by the width-equivalence tests below.
+    /// used by the pinned-image and replay tests below.
     fn mixed_program(pram: &mut Pram) -> Vec<u64> {
         let n = 4096usize;
         let xs = pram.alloc_filled(n, NULL);
@@ -1040,35 +1012,33 @@ mod tests {
         out
     }
 
-    #[test]
-    fn narrow_cells_match_full_width_bit_for_bit() {
-        for policy in [
-            WritePolicy::ArbitrarySeeded(42),
-            WritePolicy::Racy,
-            WritePolicy::CrewChecked(11),
-        ] {
-            let mut wide = Pram::with_width(policy, CellWidth::W64);
-            let mut narrow = Pram::with_width(policy, CellWidth::W32);
-            // Racy is only deterministic single-threaded, but these step
-            // sizes stay under the parallel threshold either way.
-            assert_eq!(
-                mixed_program(&mut wide),
-                mixed_program(&mut narrow),
-                "{policy:?}"
-            );
-        }
+    /// Order-sensitive digest of a memory image.
+    fn digest(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .fold(words.len() as u64, |h, &w| crate::splitmix64(h ^ w))
     }
 
+    /// `mixed_program`'s image on the retired full-width (8-byte cell)
+    /// machine, one digest per policy. Narrow cells with escapes must
+    /// reproduce it exactly: the cell encoding is never visible to a
+    /// program. (Racy is deterministic here — within a shard the commit
+    /// applies writes in processor order whatever the pool size.)
+    const MIXED_PROGRAM_DIGESTS: [(WritePolicy, u64); 5] = [
+        (WritePolicy::ArbitrarySeeded(42), 0xe7a8_7ee0_f92e_c892),
+        (WritePolicy::Racy, 0x84dd_9d69_d391_8cd3),
+        (WritePolicy::CrewChecked(11), 0x840d_972a_59c2_a58b),
+        (WritePolicy::PriorityMin, 0x9afb_9590_0a23_f9e8),
+        (WritePolicy::PriorityMax, 0x84dd_9d69_d391_8cd3),
+    ];
+
     #[test]
-    fn narrow_cells_match_full_width_for_priority_policies() {
-        for policy in [WritePolicy::PriorityMin, WritePolicy::PriorityMax] {
-            let mut wide = Pram::with_width(policy, CellWidth::W64);
-            let mut narrow = Pram::with_width(policy, CellWidth::W32);
-            assert_eq!(
-                mixed_program(&mut wide),
-                mixed_program(&mut narrow),
-                "{policy:?}"
-            );
+    fn mixed_program_reproduces_the_full_width_image_under_every_policy() {
+        for (policy, want) in MIXED_PROGRAM_DIGESTS {
+            let mut pram = Pram::new(policy);
+            let out = mixed_program(&mut pram);
+            assert_eq!(out.len(), 3 * 4096 + 1);
+            assert_eq!(digest(&out), want, "{policy:?}");
         }
     }
 
@@ -1092,28 +1062,21 @@ mod tests {
     }
 
     #[test]
-    fn footprint_is_at_most_12_bytes_per_word_for_default_policy() {
-        // The PR-10 acceptance bound: cells (8) + stamp (4), and no prio
-        // sidecar, for non-priority policies at full width.
-        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
+    fn footprint_is_at_most_8_bytes_per_word_default_16_priority() {
+        // Cells (4) + stamp (4), and no prio sidecar, for non-priority
+        // policies.
         let words = 1usize << 18;
-        let h = pram.alloc(words);
-        let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
-        assert!(per_word <= 12.0, "bytes/word = {per_word}");
-        pram.free(h);
-
-        // Narrow cells: 4 + 4.
-        let mut pram = Pram::with_width(WritePolicy::ArbitrarySeeded(1), CellWidth::W32);
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(1));
         let _ = pram.alloc(words);
         let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
-        assert!(per_word <= 8.0, "narrow bytes/word = {per_word}");
+        assert!(per_word <= 8.0, "bytes/word = {per_word}");
 
-        // Priority policies pay for the sidecar (8 + 4 + 8).
+        // Priority policies pay for the sidecar (4 + 4 + 8).
         let mut pram = Pram::new(WritePolicy::PriorityMax);
         let _ = pram.alloc(words);
         let per_word = pram.arena_backing_bytes() as f64 / pram.stats().live_words as f64;
         assert!(
-            per_word > 12.0 && per_word <= 20.0,
+            per_word > 8.0 && per_word <= 16.0,
             "prio bytes/word = {per_word}"
         );
     }

@@ -69,17 +69,13 @@ fn assert_thread_invariant(algo: &str, family: &str, n: usize, seed: u64) {
 
 /// The simulated entry points (each drives `Pram` on a seeded-ARBITRARY
 /// machine — label determinism here also exercises the sharded commit).
-/// `theorem3_nostamp` covers the clear-based MAXLINK legacy path and
-/// `theorem1_nostamp` the clear-based EXPAND phase-state path; the
-/// defaults cover the generation-stamped paths, and the
-/// theorem1/theorem2/vanilla entries run their live-scheduled phases —
-/// every live path fingerprints identically at 1/2/8 threads.
-const SIM_ALGOS: [&str; 8] = [
+/// The theorem1/theorem2/theorem3/vanilla entries run their live-scheduled,
+/// generation-stamped phases — every live path fingerprints identically
+/// at 1/2/8 threads.
+const SIM_ALGOS: [&str; 6] = [
     "theorem1",
-    "theorem1_nostamp",
     "theorem2",
     "theorem3",
-    "theorem3_nostamp",
     "vanilla",
     "awerbuch_shiloach",
     "labelprop_sim",
@@ -171,32 +167,6 @@ proptest! {
         }
     }
 
-    /// Narrow (32-bit) cells are a pure representation change: the same
-    /// run on a `LOGDIAM_CELL_WIDTH=32` machine — values that overflow a
-    /// narrow cell escape to the side table, and `pram_stress` writes
-    /// full-width random values so it escapes constantly — must
-    /// fingerprint byte-identically to the full-width machine at 1, 2,
-    /// and 8 threads: same labels, same memory image, same counters.
-    #[test]
-    fn narrow_cells_fingerprint_identically_to_full_width(
-        family in family_strategy(),
-        n in 24usize..120,
-        seed in 0u64..1000,
-    ) {
-        for algo in ["theorem3", "theorem1", "pram_stress"] {
-            let (family, n) = if algo == "pram_stress" { ("path", n + 2048) } else { (family, n) };
-            for threads in THREAD_COUNTS {
-                let wide = probe_env(threads, algo, family, n, seed, &[("LOGDIAM_CELL_WIDTH", "64")]);
-                let narrow = probe_env(threads, algo, family, n, seed, &[("LOGDIAM_CELL_WIDTH", "32")]);
-                assert_eq!(
-                    wide, narrow,
-                    "{algo} on {family}(n={n}, seed={seed}) at {threads} threads \
-                     differs between 64-bit and 32-bit cells"
-                );
-            }
-        }
-    }
-
     /// Out-of-core edge runs are invisible to every consumer: building a
     /// graph with `LOGDIAM_RUN_SPILL` pointed at a temp dir — and a tiny
     /// `LOGDIAM_RUN_EDGES` cap so many runs genuinely round-trip through
@@ -241,4 +211,38 @@ proptest! {
     ) {
         assert_thread_invariant("pram_stress", "path", n, seed);
     }
+}
+
+/// Narrow (32-bit) cells with escapes are a pure representation change:
+/// the machine must print, at 1, 2 and 8 threads, exactly the fingerprints
+/// the retired full-width machine printed (committed under `tests/data/`)
+/// — same labels, same memory image, same traffic counters.
+#[test]
+fn committed_full_width_fingerprints_reproduce_at_every_thread_count() {
+    let reference = include_str!("data/full_width_fingerprints.txt");
+    let mut cases = 0;
+    for line in reference.lines() {
+        if line.starts_with('#') || line.trim().is_empty() {
+            continue;
+        }
+        let mut f = line.splitn(5, ' ');
+        let (algo, family, n, seed, want) = (
+            f.next().unwrap(),
+            f.next().unwrap(),
+            f.next().unwrap().parse::<usize>().unwrap(),
+            f.next().unwrap().parse::<u64>().unwrap(),
+            f.next().expect("reference line has no fingerprint"),
+        );
+        for threads in THREAD_COUNTS {
+            let got = probe(threads, algo, family, n, seed);
+            assert_eq!(
+                got.trim_end(),
+                want,
+                "{algo} on {family}(n={n}, seed={seed}) at {threads} threads \
+                 differs from the committed full-width fingerprint"
+            );
+        }
+        cases += 1;
+    }
+    assert_eq!(cases, 44, "reference grid lost lines");
 }
