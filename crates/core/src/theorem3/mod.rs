@@ -36,7 +36,7 @@ use crate::theorem1::{self, Theorem1Params};
 use crate::vanilla::vanilla_phase;
 use crate::verify;
 use cc_graph::Graph;
-use pram_kit::compaction::{compact, CompactionMode};
+use pram_kit::compaction::compact_listed;
 use pram_kit::ops::{alter_over, shortcut_until_flat_over};
 use pram_sim::{Pram, NULL};
 use round::{expand_maxlink_round, FasterState, LiveIndex, RoundScratch};
@@ -239,9 +239,16 @@ pub fn faster_cc_with(
     pram.free(leader);
 
     let ongoing_now = prefix_live.verts.len();
+    let mut ongoing = std::mem::take(&mut prefix_live.verts);
     drop(prefix_live);
     let compaction_rounds = {
         // Rename ongoing vertices via approximate compaction (Lemma D.3).
+        // `active` marks the endpoints of the non-loop arcs. `ongoing` is
+        // the vertex list of the prefix's last `LiveSet::refresh`, which
+        // keeps exactly those endpoints, so the two agree (and
+        // `compact_listed` checks it). Its ascending copy drives one
+        // processor per ongoing vertex; idle vertices take no part, and
+        // `compact_listed` says why the outcome equals `compact`'s.
         let active = pram.alloc_filled(n, 0);
         let eu = st.eu;
         let ev = st.ev;
@@ -254,7 +261,8 @@ pub fn faster_cc_with(
                 ctx.write(active, b as usize, 1);
             }
         });
-        let res = compact(pram, active, seed ^ 0xC0317AC7, CompactionMode::ChargedO1)
+        ongoing.sort_unstable();
+        let res = compact_listed(pram, active, &ongoing, seed ^ 0xC0317AC7)
             .expect("approximate compaction failed");
         let rounds = res.rounds;
         res.free(pram);
@@ -779,6 +787,50 @@ mod tests {
         let budgets = params.budget_schedule(1000, 4000, 500);
         assert_eq!(budgets[1], 64);
         assert_eq!(*budgets.last().unwrap(), 4096);
+    }
+
+    /// `compaction_rounds` and peak words of the startup rename when it
+    /// still ran one processor per vertex (`compact` over the whole
+    /// `active` array), seed 17, per policy. The list-driven rename must
+    /// reproduce them: the seeded resolver hashes cell addresses, so an
+    /// allocation-order slip or a reordered processor list would show.
+    const STARTUP_RENAME_PINS: [(&str, [u64; 5], [u64; 5]); 3] = [
+        (
+            "path",
+            [7, 7, 7, 6, 6],
+            [159_746, 159_746, 104_450, 104_450, 104_450],
+        ),
+        (
+            "gnm",
+            [7, 7, 7, 5, 5],
+            [196_610, 196_610, 188_418, 188_418, 188_418],
+        ),
+        ("powerlaw", [8, 8, 8, 7, 7], [204_802; 5]),
+    ];
+
+    #[test]
+    fn startup_rename_rounds_match_the_full_array_rename() {
+        for (name, rounds, peaks) in STARTUP_RENAME_PINS {
+            let g = match name {
+                "path" => gen::path(5000),
+                "gnm" => gen::gnm(5000, 12_000, 3),
+                _ => gen::preferential_attachment(5000, 3, 5),
+            };
+            let policies = [
+                WritePolicy::ArbitrarySeeded(17),
+                WritePolicy::CrewChecked(17),
+                WritePolicy::PriorityMin,
+                WritePolicy::PriorityMax,
+                WritePolicy::Racy,
+            ];
+            for (i, policy) in policies.into_iter().enumerate() {
+                let mut pram = Pram::new(policy);
+                let report = faster_cc(&mut pram, &g, 17, &FasterParams::default());
+                check_labels(&g, &report.run.labels).unwrap();
+                assert_eq!(report.compaction_rounds, rounds[i], "{name} {policy:?}");
+                assert_eq!(report.run.stats.peak_words, peaks[i], "{name} {policy:?}");
+            }
+        }
     }
 
     #[test]

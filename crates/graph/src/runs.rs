@@ -422,10 +422,13 @@ impl EdgeRunStore {
 /// list (the set union), deduplicating across runs streamwise.
 ///
 /// Deterministic for any thread count and any partition of the input into
-/// runs: the output is a pure function of the union. Parallelism comes
-/// from partitioning the *key space* (not the runs), so each chunk of the
-/// output is produced by exactly one task; equal keys cannot straddle a
-/// chunk boundary, which is what makes per-chunk dedup exact.
+/// runs: the output is a pure function of the union. The merge partitions
+/// the *key space* (not the runs), so each chunk of the output is produced
+/// by exactly one task; equal keys cannot straddle a chunk boundary, which
+/// is what makes per-chunk dedup exact. With at most `4 · threads` chunks,
+/// below the pool's 512-item chunk floor, the chunk loop runs on the
+/// caller; one pool task per chunk (`with_min_len(1)`) was faster but
+/// raised the peak RSS of a 4e6-vertex build by 7 %.
 pub fn merge_sorted_runs(runs: &[&[(u32, u32)]]) -> Vec<(u32, u32)> {
     let live: Vec<&[(u32, u32)]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
     match live.len() {

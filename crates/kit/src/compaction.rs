@@ -81,8 +81,60 @@ pub fn compact(
     seed: u64,
     mode: CompactionMode,
 ) -> Result<CompactionResult, CompactionError> {
-    let n = active.len();
     let k = host_count(pram, active, |x| x != 0);
+    place(pram, active, k, active.len(), |v| v, seed, mode)
+}
+
+/// [`compact`] in [`CompactionMode::ChargedO1`] with one processor per
+/// distinguished cell instead of one per cell of `active`: `items` must
+/// list exactly the cells with `active[v] != 0`, in ascending order
+/// (checked: a host count of `active`, as [`compact`] makes, and one pass
+/// over `items`).
+///
+/// The machine sees what [`compact`] shows it: the same allocations in
+/// the same order, the same step ids, the same bids and the same
+/// `charge(n, 4)`. Ascending order keeps the processor ids in the order
+/// of the cells they stand for, so the processor-priority and racy
+/// policies pick the same winners too, and `index`, `slots` and `rounds`
+/// come out identical under every policy. What goes is the idle
+/// processors — O(n) host time and one read of `active[v] == 0` each per
+/// retry step — so a round costs O(k).
+pub fn compact_listed(
+    pram: &mut Pram,
+    active: Handle,
+    items: &[u32],
+    seed: u64,
+) -> Result<CompactionResult, CompactionError> {
+    assert!(items.windows(2).all(|w| w[0] < w[1]), "items not ascending");
+    let k = host_count(pram, active, |x| x != 0);
+    assert_eq!(items.len(), k, "items do not list the active cells");
+    place(
+        pram,
+        active,
+        k,
+        k,
+        |p| items[p as usize] as u64,
+        seed,
+        CompactionMode::ChargedO1,
+    )
+}
+
+/// The retry protocol shared by [`compact`] and [`compact_listed`]: `k`
+/// distinguished cells, `nprocs` processors, and processor `p` standing
+/// for cell `cell(p)`.
+fn place<C>(
+    pram: &mut Pram,
+    active: Handle,
+    k: usize,
+    nprocs: usize,
+    cell: C,
+    seed: u64,
+    mode: CompactionMode,
+) -> Result<CompactionResult, CompactionError>
+where
+    C: Fn(u64) -> u64 + Send + Sync,
+{
+    let n = active.len();
     let cap = (2 * k).next_power_of_two().max(4);
     let index = pram.alloc_filled(n, NULL);
     let slots = pram.alloc_filled(cap, NULL);
@@ -106,7 +158,8 @@ pub fn compact(
         }
         let h = PairwiseHash::new(seed ^ (rounds.wrapping_mul(0x9E37_79B9)), cap as u64);
         // Step A: every unplaced distinguished item bids for a free slot.
-        pram.step_charged(n, charge, |v, ctx| {
+        pram.step_charged(nprocs, charge, |p, ctx| {
+            let v = cell(p);
             if ctx.read(active, v as usize) == 0 || ctx.read(index, v as usize) != NULL {
                 return;
             }
@@ -117,7 +170,8 @@ pub fn compact(
         });
         // Step B: winners claim; losers raise the retry flag.
         unplaced_flag.clear(pram);
-        pram.step_charged(n, charge, |v, ctx| {
+        pram.step_charged(nprocs, charge, |p, ctx| {
+            let v = cell(p);
             if ctx.read(active, v as usize) == 0 || ctx.read(index, v as usize) != NULL {
                 return;
             }
@@ -381,6 +435,60 @@ mod tests {
         });
         assert_eq!(kept, vec![77]);
         assert_eq!(pram.stats().work, 3 * 5);
+    }
+
+    #[test]
+    fn listed_rename_matches_the_full_array_rename_under_every_policy() {
+        // ~1/3 of 20 000 cells, scattered, so both runs take several
+        // retry rounds and both run their steps on the pool.
+        let n = 20_000;
+        let items: Vec<u32> = (0..n as u32)
+            .filter(|&v| pram_sim::splitmix64(v as u64).is_multiple_of(3))
+            .collect();
+        let run = |policy, listed: bool| {
+            let mut pram = Pram::new(policy);
+            let active = pram.alloc_filled(n, 0);
+            for &v in &items {
+                pram.set(active, v as usize, 1);
+            }
+            let res = if listed {
+                compact_listed(&mut pram, active, &items, 5)
+            } else {
+                compact(&mut pram, active, 5, CompactionMode::ChargedO1)
+            }
+            .expect("compaction");
+            let out = (
+                pram.read_vec(res.index),
+                pram.read_vec(res.slots),
+                res.rounds,
+            );
+            (out, pram.stats())
+        };
+        for policy in [
+            WritePolicy::ArbitrarySeeded(7),
+            WritePolicy::CrewChecked(7),
+            WritePolicy::PriorityMin,
+            WritePolicy::PriorityMax,
+            WritePolicy::Racy,
+        ] {
+            let (full, full_stats) = run(policy, false);
+            let (listed, listed_stats) = run(policy, true);
+            assert!(full.2 > 1, "{policy:?}: one round proves little");
+            assert_eq!(full, listed, "{policy:?}");
+            // Same charged cost and traffic, minus the idle readers.
+            assert_eq!(
+                (full_stats.steps, full_stats.work, full_stats.writes),
+                (listed_stats.steps, listed_stats.work, listed_stats.writes),
+                "{policy:?}"
+            );
+            assert_eq!(full_stats.peak_words, listed_stats.peak_words);
+            assert_eq!(full_stats.max_procs, listed_stats.max_procs);
+            assert_eq!(
+                full_stats.reads - listed_stats.reads,
+                2 * full.2 * (n - items.len()) as u64,
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

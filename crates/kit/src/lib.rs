@@ -28,5 +28,5 @@ pub mod hashing;
 pub mod ops;
 pub mod prefix;
 
-pub use compaction::{compact, compact_over, CompactionMode, CompactionResult};
+pub use compaction::{compact, compact_listed, compact_over, CompactionMode, CompactionResult};
 pub use hashing::{PairSet, PairwiseHash};

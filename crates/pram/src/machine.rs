@@ -447,11 +447,30 @@ impl Pram {
         }
     }
 
+    /// Run `f` over every commit shard and sum its results. A step that
+    /// wrote at least `par_threshold` records sends the shards to the pool
+    /// one apiece (`with_min_len(1)`: the shim's default 512-item floor
+    /// would keep a handful of shards on the caller); smaller steps commit
+    /// on the caller. Shards partition addresses, and each applies its
+    /// records in processor order either way, so the committed image is
+    /// the same at any pool size.
+    fn over_shards<F>(&self, outs: &[CtxOut], f: F) -> u64
+    where
+        F: Fn(usize) -> u64 + Send + Sync + Clone,
+    {
+        let shards = 0..self.shard_count as usize;
+        let writes: u64 = outs.iter().map(|o| o.writes).sum();
+        if writes >= self.par_threshold as u64 {
+            shards.into_par_iter().with_min_len(1).map(f).sum()
+        } else {
+            shards.map(f).sum()
+        }
+    }
+
     fn commit(&mut self, outs: &[CtxOut]) {
         let step = self.step_id;
         let res = self.resolution;
         let count_conflicts = self.policy.counts_conflicts();
-        let shards = self.shard_count as usize;
         let (cells, stamp, prio) = self.mem.commit_ptrs();
         let mem = ShardedMem {
             cells,
@@ -459,38 +478,34 @@ impl Pram {
             prio,
             wide: &self.mem.wide,
         };
-        let conflicts: u64 = (0..shards)
-            .into_par_iter()
-            .map(|s| {
-                let mut conflicts = 0;
-                // SAFETY (applies to every commit_one below): writes are
-                // sharded by `addr & (shards-1)`, so each address is
-                // touched by exactly one shard iteration; the parallel
-                // iterations access disjoint cells.
-                for out in outs {
-                    match &out.shards[s] {
-                        ShardBuf::Wide(recs) => {
-                            for rec in recs {
-                                if unsafe { mem.commit_one(step, rec.addr, rec.aux, rec.val, res) }
-                                {
-                                    conflicts += 1;
-                                }
+        let conflicts = self.over_shards(outs, |s| {
+            let mut conflicts = 0;
+            // SAFETY (applies to every commit_one below): writes are
+            // sharded by `addr & (shards-1)`, so each address is touched
+            // by exactly one shard iteration; the parallel iterations
+            // access disjoint cells.
+            for out in outs {
+                match &out.shards[s] {
+                    ShardBuf::Wide(recs) => {
+                        for rec in recs {
+                            if unsafe { mem.commit_one(step, rec.addr, rec.aux, rec.val, res) } {
+                                conflicts += 1;
                             }
                         }
-                        ShardBuf::Narrow { recs, wide } => {
-                            let mut cur = 0usize;
-                            for rec in recs {
-                                let val = narrow_rec_val(rec.val, wide, &mut cur);
-                                if unsafe { mem.commit_one(step, rec.addr, 0, val, res) } {
-                                    conflicts += 1;
-                                }
+                    }
+                    ShardBuf::Narrow { recs, wide } => {
+                        let mut cur = 0usize;
+                        for rec in recs {
+                            let val = narrow_rec_val(rec.val, wide, &mut cur);
+                            if unsafe { mem.commit_one(step, rec.addr, 0, val, res) } {
+                                conflicts += 1;
                             }
                         }
                     }
                 }
-                conflicts
-            })
-            .sum();
+            }
+            conflicts
+        });
         if count_conflicts {
             self.stats.write_conflicts += conflicts;
         }
@@ -498,7 +513,6 @@ impl Pram {
 
     fn commit_combine(&mut self, outs: &[CtxOut], op: CombineOp) {
         let step = self.step_id;
-        let shards = self.shard_count as usize;
         let (cells, stamp, prio) = self.mem.commit_ptrs();
         let mem = ShardedMem {
             cells,
@@ -506,7 +520,7 @@ impl Pram {
             prio,
             wide: &self.mem.wide,
         };
-        (0..shards).into_par_iter().for_each(|s| {
+        self.over_shards(outs, |s| {
             for out in outs {
                 // SAFETY: as in `commit` — shards partition addresses.
                 match &out.shards[s] {
@@ -524,6 +538,7 @@ impl Pram {
                     }
                 }
             }
+            0
         });
     }
 }
@@ -959,6 +974,73 @@ mod tests {
             run(WritePolicy::ArbitrarySeeded(42)),
             run(WritePolicy::CrewChecked(42))
         );
+    }
+
+    /// A CREW-checked program whose steps commit on the pool at any pool
+    /// size from 2 to 16 threads (16 Ki writes against a `par_threshold`
+    /// of at most 16 Ki): 16 writers per cell over 1024 cells, so every
+    /// shard holds conflicting records, a fifth of the values escaping
+    /// narrow cells, then a combining step of the same size. Returns the
+    /// conflict count and the digest of the final image.
+    fn pool_commit_program() -> (u64, u64) {
+        let (cells, nprocs) = (1024usize, 16 * 1024usize);
+        let mut pram = Pram::new(WritePolicy::CrewChecked(29));
+        let xs = pram.alloc_filled(cells, (1 << 36) + 5);
+        let value = |p: u64| {
+            if p.is_multiple_of(5) {
+                (1u64 << 40) + p
+            } else {
+                p
+            }
+        };
+        pram.step(nprocs, |p, ctx| {
+            ctx.write(xs, (p as usize * 7) % cells, value(p));
+        });
+        let sums = pram.alloc(cells);
+        pram.step_combine(nprocs, CombineOp::Sum, |p, ctx| {
+            ctx.write(sums, p as usize % cells, value(p));
+        });
+        let mut image = pram.read_vec(xs);
+        image.extend(pram.read_vec(sums));
+        (pram.stats().write_conflicts, digest(&image))
+    }
+
+    /// Child half of `pool_commit_matches_one_thread`: prints the
+    /// program's result for the parent to compare.
+    #[test]
+    #[ignore = "run as a child process by pool_commit_matches_one_thread"]
+    fn pool_commit_probe() {
+        let (conflicts, image) = pool_commit_program();
+        println!("pool-commit-probe {conflicts} {image:#x}");
+    }
+
+    #[test]
+    fn pool_commit_matches_one_thread() {
+        let (conflicts, image) = pool_commit_program();
+        // 16 writers per cell: all but the first of each conflict.
+        assert_eq!(conflicts, 15 * 1024);
+        let want = format!("pool-commit-probe {conflicts} {image:#x}");
+        let exe = std::env::current_exe().expect("test binary path");
+        for threads in ["1", "4"] {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "machine::tests::pool_commit_probe",
+                    "--ignored",
+                    "--nocapture",
+                    "--test-threads=1",
+                ])
+                .env("RAYON_NUM_THREADS", threads)
+                .output()
+                .expect("spawn the probe");
+            let text = String::from_utf8_lossy(&out.stdout);
+            // libtest prints the test name on the same line first.
+            let got = text
+                .lines()
+                .find_map(|l| l.find("pool-commit-probe ").map(|i| &l[i..]))
+                .unwrap_or_else(|| panic!("no probe line at {threads} threads: {text}"));
+            assert_eq!(got, want, "{threads} threads");
+        }
     }
 
     #[test]

