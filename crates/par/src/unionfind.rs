@@ -111,17 +111,20 @@ impl UnionFind {
         }
     }
 
-    /// Shard-aware absorb: one parallel task per shard bucket, each
-    /// draining its bucket sequentially.
+    /// Shard-aware absorb: a `par_iter` over the buckets, each drained
+    /// sequentially.
     ///
     /// Callers that partition a batch by vertex range (the `logdiam-svc`
-    /// sharded overlay) get per-shard cache locality and exactly
-    /// `buckets.len()` pool tasks instead of a per-edge fan-out. The
-    /// structure is a single global forest, so a shard task *may* still
-    /// CAS a parent slot outside its range when an earlier epoch already
-    /// merged components across shards — that is safe (all mutation is
-    /// CAS on the shared atomics) and does not affect the resulting
-    /// partition, which is interleaving-independent.
+    /// sharded overlay) get per-shard cache locality and no per-edge
+    /// fan-out. The buckets run in parallel only when the pool splits
+    /// the bucket list: the vendored rayon keeps a source of fewer than
+    /// 1024 items in one chunk on the caller, so a handful of buckets
+    /// (the service's default is 8) drain one after another on the
+    /// calling thread. The structure is a single global forest, so a
+    /// bucket *may* still CAS a parent slot outside its range when an
+    /// earlier epoch already merged components across shards — that is
+    /// safe (all mutation is CAS on the shared atomics) and does not
+    /// affect the resulting partition, which is interleaving-independent.
     pub fn absorb_sharded(&self, buckets: &[Vec<(u32, u32)>]) {
         buckets.par_iter().for_each(|bucket| {
             self.absorb_seq(bucket);

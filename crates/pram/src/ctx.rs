@@ -3,8 +3,9 @@
 //!
 //! A [`Ctx`] is handed to the step closure for every simulated processor.
 //! Reads go straight to the frozen pre-step memory image; writes are
-//! buffered (sharded by address so the commit phase can run in parallel on
-//! disjoint address sets) and committed by the machine when the step ends.
+//! buffered (sharded by address granule, see `mem::granule_part`, so the
+//! commit phase can run in parallel on disjoint address sets, each shard
+//! on whole pages) and committed by the machine when the step ends.
 //!
 //! Write records carry no precomputed priority: the seeded-arbitrary
 //! policies derive the winner from `(seed, addr, value)` at commit time
@@ -12,7 +13,7 @@
 //! a buffered write is 8 bytes under a value-resolved policy (see
 //! `NarrowRec` in this module) and 16 under a processor-priority one.
 
-use crate::mem::{narrow_encode, CellsRef, Handle, NARROW_ESC};
+use crate::mem::{granule_part, narrow_encode, CellsRef, Handle, NARROW_ESC};
 use crate::splitmix64;
 
 /// One buffered write (full-width record, processor-priority policies).
@@ -89,7 +90,7 @@ impl RecLayout {
     }
 }
 
-/// The write buffers produced by one fold segment of a step.
+/// The write buffers produced by one chunk of a step's processors.
 pub(crate) struct CtxOut {
     pub(crate) shards: Vec<ShardBuf>,
     pub(crate) reads: u64,
@@ -199,8 +200,7 @@ impl<'a> Ctx<'a> {
         self.writes += 1;
         self.ops_this_proc += 1;
         let addr = h.addr(i);
-        let shard = (addr & self.shard_mask) as usize;
-        match &mut self.shards[shard] {
+        match &mut self.shards[granule_part(addr, self.shard_mask)] {
             ShardBuf::Wide(recs) => recs.push(WriteRec {
                 addr,
                 aux: self.proc as u32,
@@ -283,31 +283,40 @@ mod tests {
 
     #[test]
     fn writes_are_sharded_by_address() {
-        let (cells, wide) = (vec![0u32; 64], WideTable::new());
+        // Four shards over three granule cycles: two writes per granule,
+        // at its first and last cell.
+        let (shards, granule) = (4usize, 1usize << 10);
+        let len = 3 * shards * granule;
+        let (cells, wide) = (vec![0u32; len], WideTable::new());
         let mem = CellsRef {
             cells: &cells,
             wide: &wide,
         };
-        let mut ctx = Ctx::new(mem, RecLayout::Wide, 4, 0);
+        let mut ctx = Ctx::new(mem, RecLayout::Wide, shards as u32, 0);
         ctx.begin_proc(1);
-        let h = Handle { base: 0, len: 64 };
-        for i in 0..16 {
-            ctx.write(h, i, i as u64);
+        let h = Handle {
+            base: 0,
+            len: len as u32,
+        };
+        for g in 0..len / granule {
+            ctx.write(h, g * granule, 0);
+            ctx.write(h, (g + 1) * granule - 1, 0);
         }
         ctx.end_proc();
         let out = ctx.finish();
-        assert_eq!(out.writes, 16);
+        assert_eq!(out.writes, 2 * (len / granule) as u64);
         for (s, shard) in out.shards.iter().enumerate() {
             let ShardBuf::Wide(recs) = shard else {
                 panic!("expected wide layout")
             };
-            assert_eq!(recs.len(), 4);
-            for rec in recs {
-                assert_eq!((rec.addr & 3) as usize, s);
-                assert_eq!(rec.aux, 1);
-            }
+            // Both cells of a granule land together, and granule g goes to
+            // shard g mod 4: every shard gets one granule per cycle.
+            let granules: Vec<usize> = recs.iter().map(|r| r.addr as usize / granule).collect();
+            let want: Vec<usize> = (0..3).flat_map(|cycle| [cycle * shards + s; 2]).collect();
+            assert_eq!(granules, want, "shard {s}");
+            assert!(recs.iter().all(|r| r.aux == 1));
         }
-        assert_eq!(out.max_ops, 16);
+        assert_eq!(out.max_ops, 2 * (len / granule) as u32);
     }
 
     #[test]

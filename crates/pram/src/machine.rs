@@ -64,9 +64,12 @@ impl Pram {
     /// program's results.
     pub fn new(policy: WritePolicy) -> Self {
         let threads = rayon::current_num_threads();
-        // Sharding the commit by address only pays for itself across real
-        // threads; scale shards with the pool (a few per thread so commit
-        // chunks stay balanced), bounded to keep per-Ctx overhead small.
+        // Commit shards partition addresses by page granule
+        // (`mem::granule_part`), so each shard's loop stays on its own
+        // pages even on one thread, and across threads the shards commit
+        // in parallel. Scale them with the pool (a few per thread so the
+        // commit and the processor chunks of a large step stay balanced),
+        // bounded to keep per-Ctx overhead small.
         let shard_count = (threads.next_power_of_two() as u32 * 4).clamp(8, 256);
         let seed = match policy {
             WritePolicy::ArbitrarySeeded(s) | WritePolicy::CrewChecked(s) => s,
@@ -397,7 +400,7 @@ impl Pram {
         let shard_count = self.shard_count;
         let step_seed = splitmix64(self.seed ^ (self.step_id as u64) << 17);
         let spare_bufs = &self.spare_bufs;
-        // Per-worker contexts draw their shard buffers from the recycle
+        // Per-chunk contexts draw their shard buffers from the recycle
         // pool (filled back by `retire`) so capacity carries across steps.
         let fresh_ctx = || {
             let bufs = spare_bufs
@@ -409,29 +412,23 @@ impl Pram {
         };
 
         if nprocs < self.par_threshold {
-            let mut ctx = fresh_ctx();
-            for p in 0..nprocs as u64 {
-                ctx.begin_proc(p);
-                f(p, &mut ctx);
-                ctx.end_proc();
-            }
-            vec![ctx.finish()]
+            vec![run_chunk(fresh_ctx(), 0, nprocs as u64, f)]
         } else {
-            (0..nprocs as u64)
+            // One contiguous range of processors per shard-count chunk,
+            // each run by a plain loop on one context, and collected in
+            // range order so every shard sees its records in processor
+            // order.
+            let (n, chunks) = (nprocs as u64, shard_count as u64);
+            (0..chunks)
                 .into_par_iter()
-                .fold(fresh_ctx, |mut ctx, p| {
-                    ctx.begin_proc(p);
-                    f(p, &mut ctx);
-                    ctx.end_proc();
-                    ctx
-                })
-                .map(Ctx::finish)
+                .with_min_len(1)
+                .map(|c| run_chunk(fresh_ctx(), n * c / chunks, n * (c + 1) / chunks, f))
                 .collect()
         }
     }
 
     /// Post-commit bookkeeping, one pass over the step's outputs: merge the
-    /// per-worker counters into [`Stats`] and recycle the (emptied) shard
+    /// per-chunk counters into [`Stats`] and recycle the (emptied) shard
     /// buffers for the next step.
     fn retire(&mut self, outs: Vec<CtxOut>) {
         let mut spare = self.spare_bufs.lock().unwrap();
@@ -481,9 +478,9 @@ impl Pram {
         let conflicts = self.over_shards(outs, |s| {
             let mut conflicts = 0;
             // SAFETY (applies to every commit_one below): writes are
-            // sharded by `addr & (shards-1)`, so each address is touched
-            // by exactly one shard iteration; the parallel iterations
-            // access disjoint cells.
+            // sharded by `granule_part(addr, shards - 1)`, so each address
+            // is touched by exactly one shard iteration; the parallel
+            // iterations access disjoint cells.
             for out in outs {
                 match &out.shards[s] {
                     ShardBuf::Wide(recs) => {
@@ -541,6 +538,21 @@ impl Pram {
             0
         });
     }
+}
+
+/// Run processors `lo..hi` of a step on `ctx`, in order, and hand back its
+/// buffers and counters. A plain loop keeps the context in place; a
+/// `fold` would move it through every processor.
+fn run_chunk<F>(mut ctx: Ctx, lo: u64, hi: u64, f: &F) -> CtxOut
+where
+    F: Fn(u64, &mut Ctx),
+{
+    for p in lo..hi {
+        ctx.begin_proc(p);
+        f(p, &mut ctx);
+        ctx.end_proc();
+    }
+    ctx.finish()
 }
 
 /// Decode one narrow record's value, consuming the shard's escape list in
@@ -701,8 +713,8 @@ impl ShardedMem<'_> {
     }
 }
 
-// SAFETY: the commit loops partition addresses by shard (addr & mask), so no
-// two threads access the same cell; the wide table is internally
+// SAFETY: the commit loops partition addresses by shard (`granule_part`), so
+// no two threads access the same cell; the wide table is internally
 // mutex-striped.
 unsafe impl Sync for ShardedMem<'_> {}
 unsafe impl Send for ShardedMem<'_> {}
@@ -976,16 +988,27 @@ mod tests {
         );
     }
 
-    /// A CREW-checked program whose steps commit on the pool at any pool
-    /// size from 2 to 16 threads (16 Ki writes against a `par_threshold`
-    /// of at most 16 Ki): 16 writers per cell over 1024 cells, so every
-    /// shard holds conflicting records, a fifth of the values escaping
-    /// narrow cells, then a combining step of the same size. Returns the
-    /// conflict count and the digest of the final image.
-    fn pool_commit_program() -> (u64, u64) {
-        let (cells, nprocs) = (1024usize, 16 * 1024usize);
-        let mut pram = Pram::new(WritePolicy::CrewChecked(29));
-        let xs = pram.alloc_filled(cells, (1 << 36) + 5);
+    const POLICIES: [WritePolicy; 5] = [
+        WritePolicy::ArbitrarySeeded(29),
+        WritePolicy::Racy,
+        WritePolicy::CrewChecked(29),
+        WritePolicy::PriorityMin,
+        WritePolicy::PriorityMax,
+    ];
+
+    /// A program whose steps commit on the pool at any pool size from 2
+    /// to 16 threads (16 Ki writes against a `par_threshold` of at most
+    /// 16 Ki): 16 writers per cell over 1024 cells spaced 64 apart, so the
+    /// written cells span 64 granules and every shard (at most 64 of them
+    /// up to 16 threads) holds conflicting records, a fifth of the values
+    /// escaping narrow cells; then a combining step of the same size.
+    /// Racy and PRIORITY resolve by processor order, so a record applied
+    /// out of processor order changes the image. Returns the conflict
+    /// count and the digest of the final image.
+    fn pool_commit_program(policy: WritePolicy) -> (u64, u64) {
+        let (cells, spacing, nprocs) = (1024usize, 64usize, 16 * 1024usize);
+        let mut pram = Pram::new(policy);
+        let xs = pram.alloc_filled(cells * spacing, (1 << 36) + 5);
         let value = |p: u64| {
             if p.is_multiple_of(5) {
                 (1u64 << 40) + p
@@ -994,52 +1017,122 @@ mod tests {
             }
         };
         pram.step(nprocs, |p, ctx| {
-            ctx.write(xs, (p as usize * 7) % cells, value(p));
+            ctx.write(xs, (p as usize * 7) % cells * spacing, value(p));
         });
-        let sums = pram.alloc(cells);
+        let sums = pram.alloc(cells * spacing);
         pram.step_combine(nprocs, CombineOp::Sum, |p, ctx| {
-            ctx.write(sums, p as usize % cells, value(p));
+            ctx.write(sums, p as usize % cells * spacing, value(p));
         });
         let mut image = pram.read_vec(xs);
         image.extend(pram.read_vec(sums));
         (pram.stats().write_conflicts, digest(&image))
     }
 
-    /// Child half of `pool_commit_matches_one_thread`: prints the
-    /// program's result for the parent to compare.
+    /// Processors in a step on the pool at 4 threads: `par_threshold(4)`
+    /// plus 7, which does not split evenly into that pool's 16 chunks.
+    const UNEVEN_NPROCS: usize = 4096 + 7;
+
+    /// One combining step on [`UNEVEN_NPROCS`] processors: each writes its
+    /// id to its own cell and adds 1 to a shared counter after them.
+    /// Returns the image, the charged writes and `max_ops_per_proc`.
+    fn uneven_chunks_program() -> (Vec<u64>, u64, u64) {
+        let n = UNEVEN_NPROCS;
+        let mut pram = Pram::new(WritePolicy::ArbitrarySeeded(3));
+        let xs = pram.alloc_filled(n + 1, 0);
+        pram.step_combine(n, CombineOp::Sum, |p, ctx| {
+            ctx.write(xs, p as usize, p);
+            ctx.write(xs, n, 1);
+        });
+        let stats = pram.stats();
+        (pram.read_vec(xs), stats.writes, stats.max_ops_per_proc)
+    }
+
+    /// Child half of `pool_commit_matches_one_thread` and
+    /// `uneven_chunks_match_one_thread`: prints each program's result for
+    /// the parent to compare.
     #[test]
-    #[ignore = "run as a child process by pool_commit_matches_one_thread"]
+    #[ignore = "run as a child process by the *_match_one_thread tests"]
     fn pool_commit_probe() {
-        let (conflicts, image) = pool_commit_program();
-        println!("pool-commit-probe {conflicts} {image:#x}");
+        for policy in POLICIES {
+            let (conflicts, image) = pool_commit_program(policy);
+            println!("pool-commit-probe {policy:?} {conflicts} {image:#x}");
+        }
+        let (image, writes, max_ops) = uneven_chunks_program();
+        println!(
+            "uneven-chunks-probe {:#x} {writes} {max_ops}",
+            digest(&image)
+        );
+    }
+
+    /// The probe lines starting with `prefix` that `pool_commit_probe`
+    /// prints under `RAYON_NUM_THREADS=threads`.
+    fn probe_lines(prefix: &str, threads: &str) -> Vec<String> {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(&exe)
+            .args([
+                "--exact",
+                "machine::tests::pool_commit_probe",
+                "--ignored",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("spawn the probe");
+        let text = String::from_utf8_lossy(&out.stdout);
+        // libtest may print the test name on the same line first.
+        let lines: Vec<String> = text
+            .lines()
+            .filter_map(|l| l.find(prefix).map(|i| l[i..].to_string()))
+            .collect();
+        assert!(
+            !lines.is_empty(),
+            "no {prefix} at {threads} threads: {text}"
+        );
+        lines
     }
 
     #[test]
     fn pool_commit_matches_one_thread() {
-        let (conflicts, image) = pool_commit_program();
-        // 16 writers per cell: all but the first of each conflict.
-        assert_eq!(conflicts, 15 * 1024);
-        let want = format!("pool-commit-probe {conflicts} {image:#x}");
-        let exe = std::env::current_exe().expect("test binary path");
+        let want: Vec<String> = POLICIES
+            .iter()
+            .map(|&policy| {
+                let (conflicts, image) = pool_commit_program(policy);
+                // 16 writers per cell: all but the first of each conflict,
+                // counted by the CREW checker only.
+                let counted = matches!(policy, WritePolicy::CrewChecked(_));
+                assert_eq!(conflicts, if counted { 15 * 1024 } else { 0 });
+                format!("pool-commit-probe {policy:?} {conflicts} {image:#x}")
+            })
+            .collect();
         for threads in ["1", "4"] {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "machine::tests::pool_commit_probe",
-                    "--ignored",
-                    "--nocapture",
-                    "--test-threads=1",
-                ])
-                .env("RAYON_NUM_THREADS", threads)
-                .output()
-                .expect("spawn the probe");
-            let text = String::from_utf8_lossy(&out.stdout);
-            // libtest prints the test name on the same line first.
-            let got = text
-                .lines()
-                .find_map(|l| l.find("pool-commit-probe ").map(|i| &l[i..]))
-                .unwrap_or_else(|| panic!("no probe line at {threads} threads: {text}"));
-            assert_eq!(got, want, "{threads} threads");
+            assert_eq!(
+                probe_lines("pool-commit-probe ", threads),
+                want,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn uneven_chunks_match_one_thread() {
+        assert_ne!(UNEVEN_NPROCS % 16, 0);
+        assert!(UNEVEN_NPROCS >= par_threshold(4));
+        let (image, writes, max_ops) = uneven_chunks_program();
+        let n = UNEVEN_NPROCS as u64;
+        let want: Vec<u64> = (0..n).chain([n]).collect();
+        assert_eq!(image, want);
+        assert_eq!((writes, max_ops), (2 * n, 2));
+        let line = format!(
+            "uneven-chunks-probe {:#x} {writes} {max_ops}",
+            digest(&image)
+        );
+        for threads in ["1", "4"] {
+            assert_eq!(
+                probe_lines("uneven-chunks-probe ", threads),
+                std::slice::from_ref(&line),
+                "{threads} threads"
+            );
         }
     }
 

@@ -73,8 +73,25 @@ pub(crate) fn narrow_encode(v: u64) -> Option<u32> {
     }
 }
 
-/// Side table for escaped narrow-cell values, striped by address so the
-/// sharded commit (which partitions addresses) almost never contends.
+/// log2 of the address granule, in cells: 2^10 narrow cells fill one
+/// 4 KiB page (and so do their stamps).
+const GRANULE_SHIFT: u32 = 10;
+
+/// The arena's one address-partition rule: which of `mask + 1` parts (a
+/// power of two) owns `addr`. Each granule of `2^GRANULE_SHIFT` cells
+/// belongs to one part and consecutive granules cycle through the parts,
+/// so a large block spreads over every part while each part touches
+/// whole pages of it. The commit shards of [`crate::ctx::Ctx::write`] and
+/// the [`WideTable`] stripes both partition by it.
+#[inline]
+pub(crate) fn granule_part(addr: u32, mask: u32) -> usize {
+    ((addr >> GRANULE_SHIFT) & mask) as usize
+}
+
+/// Side table for escaped narrow-cell values, striped by [`granule_part`]
+/// so the sharded commit, which partitions addresses by the same rule,
+/// never has two shards lock one stripe while there are at most
+/// `WIDE_STRIPES` shards.
 ///
 /// Entries are only meaningful while the owning cell still carries the
 /// [`NARROW_ESC`] marker; a cell overwritten with a directly-representable
@@ -97,7 +114,7 @@ impl WideTable {
 
     #[inline]
     fn stripe(&self, addr: u32) -> &Mutex<HashMap<u32, u64>> {
-        &self.stripes[(addr as usize) & (WIDE_STRIPES - 1)]
+        &self.stripes[granule_part(addr, WIDE_STRIPES as u32 - 1)]
     }
 
     /// The 64-bit value behind an escaped cell. Panics if the entry is

@@ -19,11 +19,12 @@
 //! * **A sharded delta overlay** absorbs each batch: the resumable
 //!   concurrent union–find ([`logdiam_par::UnionFind`]) is partitioned by
 //!   vertex range into [`SvcParams::shard_count`] shards — intra-shard
-//!   edges are absorbed with one pool task per shard, cross-shard unions
-//!   are buffered per shard and drained by the writer in one pass per
-//!   commit. Shard count is a pure performance knob: published labels are
-//!   canonical min-vertex representatives, identical for every shard and
-//!   thread count.
+//!   edges are absorbed bucket by bucket on the writer thread (the
+//!   bucket list is shorter than the rayon shim's split point),
+//!   cross-shard unions are buffered per shard and drained by the writer
+//!   in one pass per commit. Shard count is a pure performance knob:
+//!   published labels are canonical min-vertex representatives, identical
+//!   for every shard and thread count.
 //! * **Pipelined rebuilds**: when [`SvcParams::rebuild_threshold`]
 //!   distinct new edges have accumulated, the commit *folds* them into a
 //!   fresh base CSR synchronously (cheap merge, deterministic trigger),
@@ -131,7 +132,7 @@ pub struct SvcParams {
     /// always kept).
     pub snapshot_history: usize,
     /// Vertex-range shards the overlay partitions each batch over:
-    /// intra-shard absorption runs one pool task per shard; cross-shard
+    /// intra-shard edges are absorbed bucket by bucket; cross-shard
     /// unions are buffered and drained once per commit. Purely a
     /// performance knob — published labels are identical for any value
     /// (default 8).

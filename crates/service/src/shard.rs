@@ -2,10 +2,11 @@
 //! is partitioned by vertex range.
 //!
 //! Edges whose endpoints fall in the same shard are bucketed per shard and
-//! absorbed in parallel — one pool task per shard, each draining its
-//! bucket sequentially ([`UnionFind::absorb_sharded`]), so a contended
-//! batch costs `shard_count` task dispatches instead of a per-edge
-//! fan-out and each task's finds stay range-local in the common case.
+//! absorbed bucket by bucket ([`UnionFind::absorb_sharded`]), so a batch
+//! costs no per-edge fan-out and each bucket's finds stay range-local in
+//! the common case. The bucket list is a `par_iter`, but far shorter than
+//! the rayon shim's 1024-item split point, so the buckets drain serially
+//! on the writer thread.
 //! Edges that *cross* shards are buffered on the shard of their smaller
 //! endpoint and drained by the writer in **one sequential pass per
 //! commit** — cross-shard traffic, not total `n`, is what the drain pays
@@ -14,7 +15,7 @@
 //!
 //! Correctness does not depend on the partition at all: the parent array
 //! is one global id-decreasing CAS forest, so any interleaving of the
-//! shard tasks yields the same components, and
+//! shard buckets yields the same components, and
 //! [`labels`](ShardedOverlay::labels) canonicalizes to min-vertex
 //! representatives. Shard count is therefore a pure performance knob —
 //! per-epoch label fingerprints are identical for any
@@ -68,8 +69,8 @@ impl ShardedOverlay {
         v as usize / self.shard_size
     }
 
-    /// Absorb one batch: partition by shard, parallel intra-shard
-    /// absorption, then drain the cross-shard pending lists in one
+    /// Absorb one batch: partition by shard, absorb the intra-shard
+    /// buckets, then drain the cross-shard pending lists in one
     /// sequential pass. On return every union in `edges` is applied (the
     /// buffering is within-commit, never across commits), so the labels
     /// sealed into the epoch's snapshot are complete. Returns the number
@@ -121,7 +122,7 @@ impl ShardedOverlay {
         }
     }
 
-    /// Parallel intra-shard absorption: one pool task per shard.
+    /// Intra-shard absorption, bucket by bucket (see the module docs).
     fn absorb_intra(&mut self) {
         self.uf.absorb_sharded(&self.intra);
         for bucket in &mut self.intra {
